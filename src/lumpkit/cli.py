@@ -22,17 +22,10 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    ConvergenceError,
     DimensionMismatchError,
-    EvaluationError,
-    IntegrationError,
     LumpkitError,
     ModelSyntaxError,
     ModelValidationError,
-    MonotonicityError,
-    PseudoinverseError,
-    RankDeficiencyError,
-    SamplingError,
 )
 from .jacobian import default_domain, sample_jacobian_basis
 from .lumping import (
@@ -45,19 +38,6 @@ from .lumping import (
 )
 from .model import evaluate_drift, parse_model
 from .simulate import SolverConfig, integrate, reduction_report, write_series_csv
-
-_PARSE_ERRORS = (ModelSyntaxError, ModelValidationError)
-_NUMERIC_ERRORS = (
-    EvaluationError,
-    SamplingError,
-    RankDeficiencyError,
-    PseudoinverseError,
-    DimensionMismatchError,
-    IntegrationError,
-    ConvergenceError,
-    MonotonicityError,
-)
-
 
 class _UsageError(Exception):
     pass
@@ -159,31 +139,51 @@ class _Phases:
         self._t0 = now
 
 
-def _load_model(path: str):
-    return parse_model(Path(path).read_text())
+def _load_json(path: str, kind: type, what: str):
+    """The JSON value in ``path``; anything but a ``kind`` is a ValueError."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, kind):
+        raise ValueError(f"{path}: expected {what}, got {type(data).__name__}")
+    return data
 
 
 def _load_points(path: str | None):
     if path is None:
         return ()
-    data = json.loads(Path(path).read_text())
-    return [np.asarray(x, dtype=float) for x in data]
+    data = _load_json(path, list, "a list of points")
+    try:
+        return [np.asarray(x, dtype=float) for x in data]
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _cmd_lump(args) -> int:
-    if args.epsilon < 0:
-        raise _UsageError("--epsilon must be non-negative")
+def _start(args, sample: bool = True, points: str | None = None):
+    """The preamble every command shares: resolve the seed, create ``--out``,
+    start the phase clock and parse the model; with ``sample``, also sample
+    the Jacobian basis (seeded by ``points`` first, if given).
+
+    Returns ``(seed, out, phases, system, basis)``; ``basis`` is None
+    without ``sample``."""
     seed = _resolve_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phases = _Phases()
 
-    system = _load_model(args.model)
+    system = parse_model(Path(args.model).read_text())
     phases.mark("parse")
+    if not sample:
+        return seed, out, phases, system, None
 
     domain = default_domain(system, seed=seed, confirmations=args.confirmations)
-    basis = sample_jacobian_basis(system, domain, _load_points(args.points))
+    basis = sample_jacobian_basis(system, domain, _load_points(points))
     phases.mark("basis")
+    return seed, out, phases, system, basis
+
+
+def _cmd_lump(args) -> int:
+    if args.epsilon < 0:
+        raise _UsageError("--epsilon must be non-negative")
+    seed, out, phases, system, basis = _start(args, points=args.points)
 
     lump = approximate_lump(basis, system.observables, args.epsilon)
     eps_mx = epsilon_max(basis, system.observables)
@@ -213,17 +213,7 @@ def _cmd_find_epsilon(args) -> int:
         raise _UsageError("--ratio must lie in (0, 1]")
     if args.d_min <= 0:
         raise _UsageError("--d-min must be positive")
-    seed = _resolve_seed(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    phases = _Phases()
-
-    system = _load_model(args.model)
-    phases.mark("parse")
-
-    domain = default_domain(system, seed=seed, confirmations=args.confirmations)
-    basis = sample_jacobian_basis(system, domain)
-    phases.mark("basis")
+    seed, out, phases, system, basis = _start(args)
 
     # fractional cutoffs bound the size from above, so round down
     cutoff = int(math.floor(args.ratio * system.dim + 1e-9))
@@ -279,17 +269,20 @@ def _cmd_find_epsilon(args) -> int:
 
 
 def _load_lumping(path: str, state_dim: int) -> LumpingMatrix:
-    data = json.loads(Path(path).read_text())
-    matrix = np.asarray(data["matrix"], dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != state_dim:
-        raise DimensionMismatchError(
-            f"lumping matrix has {matrix.shape} shape, expected columns = {state_dim}"
-        )
-    return LumpingMatrix(
-        matrix=matrix,
-        epsilon=float(data.get("epsilon", 0.0)),
-        observable_rank=int(data.get("observable_rank", matrix.shape[0])),
-    )
+    data = _load_json(path, dict, "an object with a 'matrix' entry")
+    if "matrix" not in data:
+        raise ValueError(f"{path}: no 'matrix' entry")
+    try:
+        matrix = np.asarray(data["matrix"], dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != state_dim:
+            raise DimensionMismatchError(
+                f"lumping matrix has {matrix.shape} shape, expected columns = {state_dim}"
+            )
+        epsilon = float(data.get("epsilon", 0.0))
+        observable_rank = int(data.get("observable_rank", matrix.shape[0]))
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return LumpingMatrix(matrix=matrix, epsilon=epsilon, observable_rank=observable_rank)
 
 
 def _cmd_simulate(args) -> int:
@@ -299,13 +292,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--rel-tol and --abs-tol must be positive")
     if args.horizon is not None and not (args.horizon > 0):
         raise _UsageError("--horizon must be positive")
-    seed = _resolve_seed(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    phases = _Phases()
-
-    system = _load_model(args.model)
-    phases.mark("parse")
+    seed, out, phases, system, _ = _start(args, sample=False)
     config = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     horizon = system.time_horizon if args.horizon is None else args.horizon
     x0 = system.initial_conditions[0]
@@ -369,17 +356,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2")
-    seed = _resolve_seed(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    phases = _Phases()
-
-    system = _load_model(args.model)
-    phases.mark("parse")
-
-    domain = default_domain(system, seed=seed, confirmations=args.confirmations)
-    basis = sample_jacobian_basis(system, domain)
-    phases.mark("basis")
+    seed, out, phases, system, basis = _start(args)
 
     eps_mx = epsilon_max(basis, system.observables)
     grid = np.linspace(0.0, eps_mx, args.grid)
@@ -420,34 +397,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # json.JSONDecodeError is a ValueError, and every LumpkitError but the two
+    # parse errors is a numeric failure
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (_UsageError, ValueError, ModelSyntaxError, ModelValidationError) as exc:
+        error, code = exc, 1
     except LumpkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, code = exc, 2
+    except OSError as exc:
+        error, code = exc, 3
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ For a polynomial or rational drift f, the Jacobians {J(x)} span a
 finite-dimensional matrix space. A basis for that span is what the lumping
 algorithm consumes. We build one by evaluating J at random points and keeping
 the matrices whose flattened form is numerically independent of what was
-kept so far (modified Gram-Schmidt with one reorthogonalization pass).
+kept so far (two classical Gram-Schmidt passes, see :func:`project_out`).
 Sampling stops once a run of consecutive draws adds nothing new.
 
 Randomness comes from numpy's PCG64 generator seeded explicitly, so a given
@@ -124,29 +124,11 @@ class JacobianBasis:
         }
 
 
-class _OrthoAccumulator:
-    """Growing orthonormal set of flattened matrices. Residuals use modified
-    Gram-Schmidt with one reorthogonalization pass, which keeps the set
-    orthonormal to working precision even for nearly dependent inputs."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows: list[np.ndarray] = []
-
-    def residual(self, vec: np.ndarray) -> np.ndarray:
-        r = vec.astype(float).copy()
-        for _ in range(2):
-            for q in self.rows:
-                r -= (r @ q) * q
-        return r
-
-    def add(self, direction: np.ndarray):
-        self.rows.append(direction)
-
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.empty((0, self.length))
-        return np.vstack(self.rows)
+def project_out(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass: v minus its projection onto the rows
+    of Q, which must be orthonormal. Two passes are as accurate as modified
+    Gram-Schmidt with reorthogonalization ("twice is enough")."""
+    return v - (v @ Q.T) @ Q
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -155,27 +137,38 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_basis(system_dim: int, candidates) -> JacobianBasis:
-    """Filter (J, point) candidates through the incremental rank test."""
-    acc = _OrthoAccumulator(system_dim * system_dim)
+def _build_basis(system_dim: int, candidates, confirmations: int | None = None) -> JacobianBasis:
+    """Filter (J, point) candidates through the incremental rank test.
+
+    Stops once the span reaches its m^2 cap or, when ``confirmations`` is
+    given, once that many consecutive candidates are dependent; candidates
+    after that are never drawn."""
+    cap = system_dim * system_dim
+    Q = np.empty((0, cap))
     mats: list[np.ndarray] = []
     pts: list[np.ndarray | None] = []
+    dependent_run = 0
     for J, point in candidates:
         if J.shape != (system_dim, system_dim):
             raise DimensionMismatchError("Jacobian sample has wrong shape")
         vec = J.ravel()
         scale = float(np.linalg.norm(vec))
-        r = acc.residual(vec)
+        r = project_out(project_out(vec, Q), Q)
         rnorm = float(np.linalg.norm(r))
         if scale > 0.0 and rnorm > RANK_RTOL * scale:
-            acc.add(r / rnorm)
+            Q = np.vstack((Q, r / rnorm))
             mats.append(_freeze(J))
             pts.append(None if point is None else _freeze(point))
+            dependent_run = 0
+        else:
+            dependent_run += 1
+        if len(mats) == cap or dependent_run == confirmations:
+            break
     return JacobianBasis(
         state_dim=system_dim,
         matrices=tuple(mats),
         sample_points=tuple(pts),
-        ortho_flat=acc.matrix(),
+        ortho_flat=Q,
     )
 
 
@@ -193,7 +186,7 @@ def basis_from_matrices(matrices, sample_points=None, state_dim=None) -> Jacobia
 
 def basis_from_points(system: OdeSystem, points) -> JacobianBasis:
     """Build a basis from Jacobians at explicit sample points, in the given
-    order, with no termination rule. Used for reproducible reference runs."""
+    order, stopping only at the m^2 cap. Used for reproducible reference runs."""
 
     def candidates():
         for x in points:
@@ -222,40 +215,23 @@ def sample_jacobian_basis(
     rng = np.random.Generator(np.random.PCG64(domain.seed))
     queue = deque(np.asarray(x, dtype=float) for x in initial_points)
 
-    acc = _OrthoAccumulator(m * m)
-    mats: list[np.ndarray] = []
-    pts: list[np.ndarray | None] = []
-    dependent_run = 0
-    failures = 0
-    while dependent_run < domain.confirmations and len(mats) < m * m:
-        x = queue.popleft() if queue else rng.uniform(domain.lower, domain.upper)
-        try:
-            _, J = evaluate_drift_dual(system, x)
-        except EvaluationError:
-            failures += 1
-            if failures > limit:
-                raise SamplingError(
-                    f"{failures} consecutive singular samples; shrink or move the domain"
-                ) from None
-            continue
+    def candidates():
         failures = 0
-        vec = J.ravel()
-        scale = float(np.linalg.norm(vec))
-        r = acc.residual(vec)
-        rnorm = float(np.linalg.norm(r))
-        if scale > 0.0 and rnorm > RANK_RTOL * scale:
-            acc.add(r / rnorm)
-            mats.append(_freeze(J))
-            pts.append(_freeze(x))
-            dependent_run = 0
-        else:
-            dependent_run += 1
-    return JacobianBasis(
-        state_dim=m,
-        matrices=tuple(mats),
-        sample_points=tuple(pts),
-        ortho_flat=acc.matrix(),
-    )
+        while True:
+            x = queue.popleft() if queue else rng.uniform(domain.lower, domain.upper)
+            try:
+                _, J = evaluate_drift_dual(system, x)
+            except EvaluationError:
+                failures += 1
+                if failures > limit:
+                    raise SamplingError(
+                        f"{failures} consecutive singular samples; shrink or move the domain"
+                    ) from None
+                continue
+            failures = 0
+            yield J, x
+
+    return _build_basis(m, candidates(), domain.confirmations)
 
 
 def membership_residual(basis: JacobianBasis, J) -> float:
@@ -264,8 +240,5 @@ def membership_residual(basis: JacobianBasis, J) -> float:
     J = np.asarray(J, dtype=float)
     if J.shape != (basis.state_dim, basis.state_dim):
         raise DimensionMismatchError("matrix shape does not match the basis")
-    r = J.ravel().copy()
-    for _ in range(2):
-        for q in basis.ortho_flat:
-            r -= (r @ q) * q
-    return float(np.linalg.norm(r))
+    Q = basis.ortho_flat
+    return float(np.linalg.norm(project_out(project_out(J.ravel(), Q), Q)))

@@ -16,7 +16,8 @@ target size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     MonotonicityError,
     RankDeficiencyError,
 )
-from .jacobian import JacobianBasis
+from .jacobian import JacobianBasis, project_out
 from .model import OdeSystem, evaluate_drift
 
 __all__ = [
@@ -53,22 +54,18 @@ _ORTHONORMALITY_ATOL = 1e-10
 
 
 def orthonormalize_rows(matrix, rank_rtol: float = 1e-9) -> np.ndarray:
-    """Orthonormalize rows in order (modified Gram-Schmidt, one
-    reorthogonalization pass). Raises
-    :class:`~lumpkit.errors.RankDeficiencyError` when a row is numerically
-    dependent on the rows before it."""
+    """Orthonormalize rows in order (two classical Gram-Schmidt passes per
+    row). Raises :class:`~lumpkit.errors.RankDeficiencyError` when a row is
+    numerically dependent on the rows before it."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    rows: list[np.ndarray] = []
+    Q = np.empty_like(M)
     for i, row in enumerate(M):
-        r = row.astype(float).copy()
-        for _ in range(2):
-            for q in rows:
-                r -= (r @ q) * q
+        r = project_out(project_out(row, Q[:i]), Q[:i])
         norm = float(np.linalg.norm(r))
         if norm <= rank_rtol * max(float(np.linalg.norm(row)), 1e-300):
             raise RankDeficiencyError(f"row {i} is linearly dependent on earlier rows")
-        rows.append(r / norm)
-    return np.vstack(rows)
+        Q[i] = r / norm
+    return Q
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,7 @@ def approximate_lump(
             for k, J in enumerate(basis.matrices):
                 v = r @ J
                 cur = L[:count]
-                defect = v - (v @ cur.T) @ cur
+                defect = project_out(v, cur)
                 distance = float(np.linalg.norm(defect))
                 threshold = max(epsilon, ZERO_EPSILON_RTOL * float(np.linalg.norm(v)))
                 append = distance > threshold and count < m
@@ -223,7 +220,7 @@ def approximate_lump(
                     trace.append(TraceEvent(sweep, row, k, distance, append))
                 if append:
                     # one extra projection pass keeps the stack orthonormal
-                    defect -= (defect @ cur.T) @ cur
+                    defect = project_out(defect, cur)
                     L[count] = defect / np.linalg.norm(defect)
                     count += 1
                     provenance.append(RowProvenance("appended", row, k, distance))
@@ -253,19 +250,11 @@ def deviation(system: OdeSystem, lump: LumpingMatrix, x) -> float:
 
 def epsilon_max(basis: JacobianBasis, observables) -> float:
     """Smallest tolerance at which :func:`approximate_lump` keeps only the
-    observable rows: the largest defect of any observable row against the
-    observable row space, over all basis matrices."""
-    M = np.atleast_2d(np.asarray(observables, dtype=float))
-    if basis.state_dim != M.shape[1]:
-        raise DimensionMismatchError("observables and basis have different state dims")
-    ortho = orthonormalize_rows(M)
-    worst = 0.0
-    for J in basis.matrices:
-        for r in ortho:
-            v = r @ J
-            defect = v - (v @ ortho.T) @ ortho
-            worst = max(worst, float(np.linalg.norm(defect)))
-    return worst
+    observable rows: the largest distance its first pass measures, since at
+    an infinite tolerance that pass appends nothing and checks every
+    observable row against every basis matrix."""
+    trace = approximate_lump(basis, observables, math.inf, record_trace=True).trace
+    return max((event.distance for event in trace), default=0.0)
 
 
 @dataclass(frozen=True)

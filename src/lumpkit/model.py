@@ -325,50 +325,46 @@ class OdeSystem:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
-    """Evaluate f(x). Pure and deterministic: identical inputs give
-    bit-identical outputs. A zero denominator raises
-    :class:`~lumpkit.errors.EvaluationError` naming the component."""
+def _evaluate_components(system: OdeSystem, x, lift) -> list:
+    """Evaluate every drift component on ``lift(x)`` after checking that x is
+    a state vector. A zero denominator raises
+    :class:`~lumpkit.errors.EvaluationError` naming the component and x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
         raise ValueError(f"expected a vector of length {system.dim}, got shape {x.shape}")
-    values = [float(v) for v in x]
-    out = np.empty(system.dim)
+    values = lift(x)
+    results = []
     for i, expr in enumerate(system.drift):
         try:
-            out[i] = expr.evaluate(values)
+            results.append(expr.evaluate(values))
         except ZeroDivisionError as exc:
             raise EvaluationError(
                 f"zero denominator evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
                 component=i,
                 point=x.copy(),
             ) from exc
-    return out
+    return results
+
+
+def _duals(x: np.ndarray) -> list:
+    # variable j carries the j-th unit vector as its partials
+    return [DualVector(float(v), seed) for v, seed in zip(x, np.eye(x.shape[0]))]
+
+
+def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
+    """Evaluate f(x). Pure and deterministic: identical inputs give
+    bit-identical outputs. A zero denominator raises
+    :class:`~lumpkit.errors.EvaluationError` naming the component."""
+    return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
 
 
 def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate f(x) and the exact Jacobian J(x) by forward-mode dual
     numbers. Returns ``(f, J)`` with ``J[i, j] = df_i/dx_j``."""
-    x = np.asarray(x, dtype=float)
     m = system.dim
-    if x.shape != (m,):
-        raise ValueError(f"expected a vector of length {m}, got shape {x.shape}")
-    values = []
-    for j in range(m):
-        seed = np.zeros(m)
-        seed[j] = 1.0
-        values.append(DualVector(float(x[j]), seed))
     f = np.empty(m)
     jac = np.zeros((m, m))
-    for i, expr in enumerate(system.drift):
-        try:
-            result = expr.evaluate(values)
-        except ZeroDivisionError as exc:
-            raise EvaluationError(
-                f"zero denominator evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
-                component=i,
-                point=x.copy(),
-            ) from exc
+    for i, result in enumerate(_evaluate_components(system, x, _duals)):
         if isinstance(result, DualVector):
             f[i] = result.value
             jac[i, :] = result.partials

@@ -126,6 +126,13 @@ class TestLump:
         assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
                     "--epsilon", "-1"]) == 1
 
+    def test_points_file_must_hold_a_list(self, tmp_path, capsys):
+        points = tmp_path / "points.json"
+        points.write_text("5")
+        assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--epsilon", "0", "--points", str(points)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestFindEpsilon:
     def test_bisection_artifacts(self, tmp_path, capsys):
@@ -241,6 +248,16 @@ class TestSimulate:
         lpath.write_text("{not json")
         assert run(["simulate", "--model", RATIONAL3, "--out",
                     str(tmp_path / "o"), "--lumping", str(lpath)]) == 1
+
+    @pytest.mark.parametrize(
+        "payload", ('{"epsilon": 0.1}', "[1, 2]", '{"matrix": {"a": 1}}')
+    )
+    def test_malformed_lumping_payload(self, tmp_path, capsys, payload):
+        lpath = tmp_path / "L.json"
+        lpath.write_text(payload)
+        assert run(["simulate", "--model", RATIONAL3, "--out",
+                    str(tmp_path / "o"), "--lumping", str(lpath)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_wrong_lumping_shape(self, tmp_path):
         lpath = tmp_path / "L.json"

@@ -74,6 +74,33 @@ class TestSampling:
             basis.matrices[0], [[1.0, 2.0], [3.0, -1.0]], rtol=0, atol=1e-12
         )
 
+    def test_full_span_stops_at_the_m_squared_cap(self, monkeypatch):
+        # J = [[a^2, b^2], [b, a]] spans all 2x2 matrices: the cap, not the
+        # 50 confirmations, ends sampling, so no draw is wasted after it
+        system = lk.parse_model(
+            "model full\nvar a, b\neq a = a^3/3 + b^3/3\neq b = a*b\n"
+            "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
+        )
+        calls = []
+
+        def counting(system, x):
+            calls.append(x)
+            return lk.evaluate_drift_dual(system, x)
+
+        monkeypatch.setattr("lumpkit.jacobian.evaluate_drift_dual", counting)
+        domain = lk.default_domain(system, confirmations=50)
+        basis = lk.sample_jacobian_basis(system, domain)
+        assert basis.dimension == 4
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("name", ("rational3", "rational3_perturbed"))
+    def test_ortho_flat_is_orthonormal(self, request, name):
+        system = request.getfixturevalue(name)
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system))
+        Q = basis.ortho_flat
+        assert Q.shape == (basis.dimension, system.dim**2)
+        assert np.max(np.abs(Q @ Q.T - np.eye(basis.dimension))) <= 1e-12
+
     def test_everywhere_singular_drift_aborts(self):
         system = lk.parse_model(
             "model sing\nvar a, b\neq a = 1/(a - a)\neq b = a\n"
