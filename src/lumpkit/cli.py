@@ -54,46 +54,46 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lumpkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, solver=False):
-        p.add_argument("--model", required=True, help="model file path")
-        p.add_argument("--out", required=True, help="output directory")
-        if seed:
-            p.add_argument(
-                "--seed",
-                type=int,
-                default=None,
-                help="PRNG seed; falls back to LUMPKIT_SEED, then 0",
-            )
-            p.add_argument(
-                "--confirmations",
-                type=int,
-                default=3,
-                help="consecutive dependent samples ending basis sampling",
-            )
-        if solver:
-            p.add_argument("--rel-tol", type=float, default=1e-6)
-            p.add_argument("--abs-tol", type=float, default=1e-9)
-            p.add_argument("--horizon", type=float, default=None)
+    # flags shared by every command, and by the three that sample a basis
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", required=True, help="model file path")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="PRNG seed; falls back to LUMPKIT_SEED, then 0",
+    )
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampling.add_argument(
+        "--confirmations",
+        type=int,
+        default=3,
+        help="consecutive dependent samples ending basis sampling",
+    )
 
-    p_lump = sub.add_parser("lump", help="reduce at a fixed tolerance")
-    common(p_lump)
+    p_lump = sub.add_parser("lump", help="reduce at a fixed tolerance", parents=[sampling])
     p_lump.add_argument("--epsilon", type=float, required=True)
     p_lump.add_argument(
         "--points", default=None, help="JSON file with explicit sample points"
     )
 
-    p_find = sub.add_parser("find-epsilon", help="bisect for a target size")
-    common(p_find)
+    p_find = sub.add_parser("find-epsilon", help="bisect for a target size", parents=[sampling])
     p_find.add_argument("--ratio", type=float, required=True, help="target size / m")
     p_find.add_argument("--d-min", type=float, default=1e-6)
 
-    p_sim = sub.add_parser("simulate", help="integrate, optionally against a reduction")
-    common(p_sim, seed=True, solver=True)
+    p_sim = sub.add_parser(
+        "simulate", help="integrate, optionally against a reduction", parents=[common]
+    )
+    p_sim.add_argument("--rel-tol", type=float, default=1e-6)
+    p_sim.add_argument("--abs-tol", type=float, default=1e-9)
+    p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--lumping", default=None, help="L.json from a lump run")
     p_sim.add_argument("--grid", type=int, default=200, help="output grid points")
 
-    p_sweep = sub.add_parser("sweep", help="tolerance staircase over [0, epsilon_max]")
-    common(p_sweep)
+    p_sweep = sub.add_parser(
+        "sweep", help="tolerance staircase over [0, epsilon_max]", parents=[sampling]
+    )
     p_sweep.add_argument("--grid", type=int, default=50, help="grid points")
 
     return parser
@@ -181,7 +181,7 @@ def _start(args, sample: bool = True, points: str | None = None):
 
 
 def _cmd_lump(args) -> int:
-    if args.epsilon < 0:
+    if not args.epsilon >= 0:
         raise _UsageError("--epsilon must be non-negative")
     seed, out, phases, system, basis = _start(args, points=args.points)
 

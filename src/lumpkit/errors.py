@@ -29,10 +29,12 @@ class ModelValidationError(LumpkitError):
 
 
 class EvaluationError(LumpkitError):
-    """Drift evaluation hit a division by an exactly zero denominator.
+    """Drift evaluation hit a division by an exactly zero denominator, or an
+    integer power overflowed the float range.
 
-    Distinct from overflow: infinities propagate silently, a zero denominator
-    does not.
+    Sums and products that overflow give infinities, which propagate
+    silently. A zero denominator and an overflowing power make Python floats
+    raise, and are reported as this error.
     """
 
     def __init__(self, message: str, component: int | None = None, point=None):

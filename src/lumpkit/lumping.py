@@ -123,11 +123,11 @@ class LumpingMatrix:
                 f"shape {L.shape}"
             )
         gram_defect = np.max(np.abs(L @ L.T - np.eye(l)))
-        if gram_defect > _ORTHONORMALITY_ATOL:
+        if not gram_defect <= _ORTHONORMALITY_ATOL:
             raise RankDeficiencyError(
                 f"rows are not orthonormal (defect {gram_defect:.3e})"
             )
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         L.setflags(write=False)
         object.__setattr__(self, "matrix", L)
@@ -186,7 +186,7 @@ def approximate_lump(
 
     The worst case returns all m rows, never an error.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     M = np.atleast_2d(np.asarray(observables, dtype=float))
     m = M.shape[1]

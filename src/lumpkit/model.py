@@ -13,7 +13,7 @@ text format, see :func:`parse_model`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -198,36 +198,6 @@ class IntPow(Expression):
         return self.base.evaluate(values) ** self.exponent
 
 
-def _fold_add(a, b):
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return Constant(a.value + b.value)
-    return Add(a, b)
-
-
-def _fold_sub(a, b):
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return Constant(a.value - b.value)
-    return Sub(a, b)
-
-
-def _fold_mul(a, b):
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return Constant(a.value * b.value)
-    return Mul(a, b)
-
-
-def _fold_neg(a):
-    if isinstance(a, Constant):
-        return Constant(-a.value)
-    return Neg(a)
-
-
-def _fold_pow(a, exponent):
-    if isinstance(a, Constant):
-        return Constant(a.value**exponent)
-    return IntPow(a, exponent)
-
-
 def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
     """Render an expression fully parenthesized. Parsing the result yields a
     structurally identical tree (used for debugging and round-trip tests)."""
@@ -327,7 +297,7 @@ class OdeSystem:
 
 def _evaluate_components(system: OdeSystem, x, lift) -> list:
     """Evaluate every drift component on ``lift(x)`` after checking that x is
-    a state vector. A zero denominator raises
+    a state vector. A zero denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component and x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
@@ -337,9 +307,10 @@ def _evaluate_components(system: OdeSystem, x, lift) -> list:
     for i, expr in enumerate(system.drift):
         try:
             results.append(expr.evaluate(values))
-        except ZeroDivisionError as exc:
+        except (ZeroDivisionError, OverflowError) as exc:
+            cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
             raise EvaluationError(
-                f"zero denominator evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
+                f"{cause} evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
                 component=i,
                 point=x.copy(),
             ) from exc
@@ -446,6 +417,22 @@ class _TokenStream:
             raise ModelSyntaxError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
 
 
+def _fold(node: Expression, op: _Token) -> Expression:
+    """``node`` evaluated to a :class:`Constant` when all of its expression
+    operands are constants, else ``node`` itself. A zero divisor or an
+    overflowing power is a :class:`ModelSyntaxError` at the operator ``op``."""
+    operands = [getattr(node, f.name) for f in fields(node)]
+    if not all(isinstance(v, Constant) for v in operands if isinstance(v, Expression)):
+        return node
+    try:
+        return Constant(node.evaluate(()))
+    except ZeroDivisionError:
+        message = "division by zero in constant expression"
+    except OverflowError:
+        message = "overflow in constant expression"
+    raise ModelSyntaxError(message, op.line, op.column)
+
+
 class _ExpressionParser:
     """Recursive descent over one line. Precedence from loosest to tightest:
     additive, multiplicative, unary minus, power. The power operator binds
@@ -467,7 +454,7 @@ class _ExpressionParser:
             if tok is not None and tok.kind == "op" and tok.text in "+-":
                 self.stream.next()
                 rhs = self._multiplicative()
-                node = _fold_add(node, rhs) if tok.text == "+" else _fold_sub(node, rhs)
+                node = _fold(Add(node, rhs) if tok.text == "+" else Sub(node, rhs), tok)
             else:
                 return node
 
@@ -478,19 +465,7 @@ class _ExpressionParser:
             if tok is not None and tok.kind == "op" and tok.text in "*/":
                 self.stream.next()
                 rhs = self._unary()
-                if tok.text == "*":
-                    node = _fold_mul(node, rhs)
-                else:
-                    if isinstance(node, Constant) and isinstance(rhs, Constant):
-                        if rhs.value == 0.0:
-                            raise ModelSyntaxError(
-                                "division by zero in constant expression",
-                                tok.line,
-                                tok.column,
-                            )
-                        node = Constant(node.value / rhs.value)
-                    else:
-                        node = Div(node, rhs)
+                node = _fold(Mul(node, rhs) if tok.text == "*" else Div(node, rhs), tok)
             else:
                 return node
 
@@ -498,7 +473,7 @@ class _ExpressionParser:
         tok = self.stream.peek()
         if tok is not None and tok.kind == "op" and tok.text == "-":
             self.stream.next()
-            return _fold_neg(self._unary())
+            return _fold(Neg(self._unary()), tok)
         return self._power()
 
     def _power(self) -> Expression:
@@ -521,7 +496,7 @@ class _ExpressionParser:
                         exp_tok.line,
                         exp_tok.column,
                     )
-                node = _fold_pow(node, int(value))
+                node = _fold(IntPow(node, int(value)), tok)
             else:
                 return node
 

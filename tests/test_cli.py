@@ -126,6 +126,11 @@ class TestLump:
         assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
                     "--epsilon", "-1"]) == 1
 
+    def test_nan_epsilon(self, tmp_path, capsys):
+        assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--epsilon", "nan"]) == 1
+        assert "--epsilon" in capsys.readouterr().err
+
     def test_points_file_must_hold_a_list(self, tmp_path, capsys):
         points = tmp_path / "points.json"
         points.write_text("5")
@@ -273,6 +278,18 @@ class TestSimulate:
         assert run(["simulate", "--model", RATIONAL3, "--out",
                     str(tmp_path / "o"), "--lumping", str(lpath)]) == 2
 
+    @pytest.mark.parametrize(
+        "payload, code",
+        (('{"matrix": [[NaN, 0, 0]]}', 2), ('{"matrix": [[1, 0, 0]], "epsilon": NaN}', 1)),
+        ids=("nan_matrix", "nan_epsilon"),
+    )
+    def test_nan_lumping(self, tmp_path, capsys, payload, code):
+        lpath = tmp_path / "L.json"
+        lpath.write_text(payload)
+        assert run(["simulate", "--model", RATIONAL3, "--out",
+                    str(tmp_path / "o"), "--lumping", str(lpath)]) == code
+        assert "error:" in capsys.readouterr().err
+
     def test_blowup_exits_2(self, tmp_path, capsys):
         model = tmp_path / "blowup.ode"
         model.write_text(
@@ -296,6 +313,12 @@ class TestSimulate:
     def test_parameter_validation(self, tmp_path, extra):
         assert run(["simulate", "--model", RATIONAL3,
                     "--out", str(tmp_path / "o")] + extra) == 1
+
+    def test_confirmations_flag_rejected(self, tmp_path, capsys):
+        # simulate samples no Jacobian basis, so it has no --confirmations
+        assert run(["simulate", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--confirmations", "3"]) == 1
+        assert "--confirmations" in capsys.readouterr().err
 
     def test_missing_model_exits_3(self, tmp_path):
         assert run(["simulate", "--model", str(tmp_path / "nope.ode"),

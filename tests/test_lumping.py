@@ -56,6 +56,12 @@ class TestLumpingMatrix:
                 observable_rank=1,
             )
 
+    def test_rejects_nan(self):
+        with pytest.raises(RankDeficiencyError, match="orthonormal"):
+            lk.LumpingMatrix(matrix=[[np.nan, 0.0, 0.0]], epsilon=0.0, observable_rank=1)
+        with pytest.raises(ValueError, match="epsilon"):
+            lk.LumpingMatrix(matrix=np.eye(3)[:1], epsilon=np.nan, observable_rank=1)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatchError):
             lk.LumpingMatrix(matrix=np.eye(3), epsilon=0.0, observable_rank=4)
@@ -154,6 +160,10 @@ class TestExactLumping:
         np.testing.assert_allclose(
             lump.matrix @ lump.matrix.T, np.eye(3), rtol=0, atol=1e-12
         )
+
+    def test_nan_tolerance_rejected(self, worked_basis):
+        with pytest.raises(ValueError, match="epsilon"):
+            lk.approximate_lump(worked_basis, OBS_X1, np.nan)
 
 
 class TestDeviation:

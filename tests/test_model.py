@@ -5,6 +5,7 @@ import pytest
 
 import lumpkit as lk
 from lumpkit.errors import EvaluationError, ModelSyntaxError, ModelValidationError
+from lumpkit.model import Add, Constant, Div, Variable
 
 from conftest import central_difference_jacobian
 
@@ -75,11 +76,24 @@ class TestParsing:
             ("eq a = b\neq a = a\neq b = a", "duplicate equation"),
             ("eq a = b", "missing equation"),
             ("eq a = b +\neq b = a", "unexpected end of line"),
+            ("eq a = 10^400\neq b = a", "overflow"),
         ],
     )
     def test_syntax_errors(self, body, fragment):
         with pytest.raises(ModelSyntaxError, match=fragment):
             lk.parse_model(two_var(body))
+
+    def test_constant_subtrees_fold_to_one_constant(self):
+        system = lk.parse_model(two_var("eq a = 2^3 * -(4/8) - 1 + a/(2-2+1)\neq b = a"))
+        assert system.drift[0] == Add(Constant(-5.0), Div(Variable(0), Constant(1.0)))
+
+    @pytest.mark.parametrize(
+        "body, column", [("eq a = 1/0", 9), ("eq a = 10^400", 10), ("eq a = -(2/(1-1))", 11)]
+    )
+    def test_constant_fold_error_position(self, body, column):
+        with pytest.raises(ModelSyntaxError) as exc_info:
+            lk.parse_model(two_var(body + "\neq b = a"))
+        assert (exc_info.value.line, exc_info.value.column) == (3, column)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ModelSyntaxError) as exc_info:
@@ -188,6 +202,13 @@ class TestDriftEvaluation:
         system = lk.parse_model(two_var("eq a = b/(2 - 2)\neq b = a"))
         with pytest.raises(EvaluationError):
             lk.evaluate_drift(system, np.ones(2))
+
+    def test_power_overflow_is_evaluation_error(self):
+        system = lk.parse_model(two_var("eq a = b\neq b = a^400"))
+        for evaluate in (lk.evaluate_drift, lk.evaluate_drift_dual):
+            with pytest.raises(EvaluationError, match="overflow evaluating db/dt") as exc_info:
+                evaluate(system, np.array([10.0, 1.0]))
+            assert exc_info.value.component == 1
 
     def test_wrong_length_rejected(self, rational3):
         with pytest.raises(ValueError, match="length 3"):

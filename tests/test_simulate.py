@@ -11,6 +11,7 @@ from lumpkit.errors import (
     DimensionMismatchError,
     IntegrationError,
     PseudoinverseError,
+    SamplingError,
 )
 
 REFERENCE_RAW_L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
@@ -122,6 +123,16 @@ class TestIntegrate:
             )
         assert exc_info.value.time_reached < 1000.0
 
+    @pytest.mark.parametrize(
+        "x0, drift",
+        (([math.inf, 1.0], lambda y: -y), ([1.0, 1.0], lambda y: np.array([math.nan, 0.0]))),
+        ids=("inf_state", "nan_drift"),
+    )
+    def test_non_finite_start(self, x0, drift):
+        with pytest.raises(IntegrationError, match=r"non-finite start.*state=\[") as exc_info:
+            lk.integrate(drift, np.array(x0), 1.0, lk.SolverConfig(max_steps=10))
+        assert exc_info.value.time_reached == 0.0
+
     def test_singular_drift_becomes_integration_error(self, rational3):
         with pytest.raises(IntegrationError):
             lk.integrate(
@@ -189,6 +200,10 @@ class TestReducedDrift:
         # non-orthonormal L without an explicit pseudoinverse
         with pytest.raises(PseudoinverseError):
             lk.build_reduced_drift(rational3, REFERENCE_RAW_L)
+
+    def test_nan_matrix_rejected(self, rational3):
+        with pytest.raises(PseudoinverseError, match="nan"):
+            lk.build_reduced_drift(rational3, [[np.nan, 0.0, 0.0]])
 
     def test_shape_validation(self, rational3):
         with pytest.raises(DimensionMismatchError):
@@ -265,6 +280,28 @@ class TestEstimateLipschitz:
         domain = lk.SamplingDomain(lower=-np.ones(3), upper=np.ones(3), seed=0)
         estimate = lk.estimate_lipschitz(system, domain)
         assert sigma <= estimate <= 1.1 * sigma * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_spectral_norm_on_the_seeded_stream(self, rational3, seed):
+        domain = lk.default_domain(rational3, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n = 16
+        # the box has no singular points, so no draw is skipped
+        jacobians = [
+            lk.evaluate_drift_dual(rational3, rng.uniform(domain.lower, domain.upper))[1]
+            for _ in range(n)
+        ]
+        expected = 1.1 * max(np.linalg.norm(J, 2) for J in jacobians)
+        assert lk.estimate_lipschitz(rational3, domain, n) == pytest.approx(expected, rel=1e-12)
+
+    def test_everywhere_singular_model(self):
+        system = lk.parse_model(
+            "model s\nvar a, b\neq a = 1/(a - a)\neq b = a\n"
+            "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
+        )
+        domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2), max_resamples=5)
+        with pytest.raises(SamplingError):
+            lk.estimate_lipschitz(system, domain)
 
     def test_validation(self, rational3):
         domain = lk.SamplingDomain(lower=np.zeros(3), upper=np.ones(3))
