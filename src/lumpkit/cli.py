@@ -211,7 +211,7 @@ def _cmd_lump(args) -> int:
 def _cmd_find_epsilon(args) -> int:
     if not (0 < args.ratio <= 1):
         raise _UsageError("--ratio must lie in (0, 1]")
-    if args.d_min <= 0:
+    if not args.d_min > 0:
         raise _UsageError("--d-min must be positive")
     seed, out, phases, system, basis = _start(args)
 

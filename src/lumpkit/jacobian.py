@@ -131,6 +131,16 @@ def project_out(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return v - (v @ Q.T) @ Q
 
 
+def _scaled_flat(J: np.ndarray) -> tuple[np.ndarray, int]:
+    """vec(J) times 2**-e, where max|J| = f * 2**e with 0.5 <= f < 1, and e.
+    A power-of-two scale is exact, so norms and rank decisions keep their
+    bits, but squared norms of entries near the float limit no longer
+    overflow."""
+    vec = J.ravel()
+    e = int(np.frexp(np.max(np.abs(vec), initial=0.0))[1])
+    return np.ldexp(vec, -e), e
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=float).copy()
     out.setflags(write=False)
@@ -151,7 +161,7 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
     for J, point in candidates:
         if J.shape != (system_dim, system_dim):
             raise DimensionMismatchError("Jacobian sample has wrong shape")
-        vec = J.ravel()
+        vec, _ = _scaled_flat(J)
         scale = float(np.linalg.norm(vec))
         r = project_out(project_out(vec, Q), Q)
         rnorm = float(np.linalg.norm(r))
@@ -241,4 +251,5 @@ def membership_residual(basis: JacobianBasis, J) -> float:
     if J.shape != (basis.state_dim, basis.state_dim):
         raise DimensionMismatchError("matrix shape does not match the basis")
     Q = basis.ortho_flat
-    return float(np.linalg.norm(project_out(project_out(J.ravel(), Q), Q)))
+    vec, e = _scaled_flat(J)
+    return float(np.ldexp(np.linalg.norm(project_out(project_out(vec, Q), Q)), e))

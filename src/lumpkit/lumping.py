@@ -17,7 +17,7 @@ target size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,6 +106,11 @@ class LumpingMatrix:
     Rows 0..observable_rank-1 span the observable row space; later rows were
     appended by the lumping sweep. Orthonormal rows make the transpose a
     pseudoinverse, so lifting back is just L.T @ y.
+
+    ``valid_for`` is set by :func:`approximate_lump`: the half-open interval
+    [lo, hi) of tolerances at which the sweep takes the same append decisions,
+    and so returns this same matrix and provenance bit for bit. It is None
+    for a matrix built any other way and is not part of the JSON form.
     """
 
     matrix: np.ndarray
@@ -113,6 +118,7 @@ class LumpingMatrix:
     observable_rank: int
     provenance: tuple[RowProvenance, ...] = ()
     trace: tuple[TraceEvent, ...] | None = None
+    valid_for: tuple[float, float] | None = None
 
     def __post_init__(self):
         L = np.atleast_2d(np.asarray(self.matrix, dtype=float)).copy()
@@ -184,6 +190,12 @@ def approximate_lump(
     normalized defect as a new row. New rows are swept within the same pass;
     the sweep repeats until one full pass appends nothing.
 
+    The tolerance enters only through the comparisons ``distance > epsilon``
+    of checks whose distance exceeds the float slack while rows can still be
+    appended. The result's ``valid_for`` is [lo, hi): lo the largest such
+    distance that was not appended (0 if none), hi the smallest appended
+    distance (inf if none).
+
     The worst case returns all m rows, never an error.
     """
     if not epsilon >= 0:
@@ -200,6 +212,7 @@ def approximate_lump(
     count = p
     provenance: list[RowProvenance] = [RowProvenance("observable") for _ in range(p)]
     trace: list[TraceEvent] = []
+    lo, hi = 0.0, math.inf
 
     sweep = 0
     appended_in_pass = True
@@ -214,17 +227,20 @@ def approximate_lump(
                 cur = L[:count]
                 defect = project_out(v, cur)
                 distance = float(np.linalg.norm(defect))
-                threshold = max(epsilon, ZERO_EPSILON_RTOL * float(np.linalg.norm(v)))
-                append = distance > threshold and count < m
+                slack = ZERO_EPSILON_RTOL * float(np.linalg.norm(v))
+                append = distance > max(epsilon, slack) and count < m
                 if record_trace:
                     trace.append(TraceEvent(sweep, row, k, distance, append))
                 if append:
+                    hi = min(hi, distance)
                     # one extra projection pass keeps the stack orthonormal
                     defect = project_out(defect, cur)
                     L[count] = defect / np.linalg.norm(defect)
                     count += 1
                     provenance.append(RowProvenance("appended", row, k, distance))
                     appended_in_pass = True
+                elif distance > slack and count < m:
+                    lo = max(lo, distance)
             row += 1
 
     return LumpingMatrix(
@@ -233,6 +249,7 @@ def approximate_lump(
         observable_rank=p,
         provenance=tuple(provenance),
         trace=tuple(trace) if record_trace else None,
+        valid_for=(lo, hi),
     )
 
 
@@ -306,6 +323,11 @@ def find_epsilon(
     size(hi) <= cutoff < size(lo) invariant and halves until its width drops
     below d_min; the returned tolerance is the hi end, whose lumping is
     returned with it.
+
+    The search sweeps once per decision interval: a tolerance inside the
+    ``valid_for`` interval of a lumping already swept in this call reuses
+    that lumping (with its ``epsilon`` set to the new tolerance) instead of
+    sweeping again, which gives the same result bit for bit.
     """
     M = np.atleast_2d(np.asarray(observables, dtype=float))
     p = orthonormalize_rows(M).shape[0]
@@ -318,7 +340,16 @@ def find_epsilon(
             epsilon=eps, lump=lump, iterations=1, boundary="cutoff_below_observable_rank"
         )
 
-    exact = approximate_lump(basis, M, 0.0)
+    swept: list[LumpingMatrix] = []
+
+    def lump_at(eps: float) -> LumpingMatrix:
+        for known in swept:
+            if known.valid_for[0] <= eps < known.valid_for[1]:
+                return replace(known, epsilon=eps)
+        swept.append(approximate_lump(basis, M, eps))
+        return swept[-1]
+
+    exact = lump_at(0.0)
     if target >= exact.dim:
         return EpsilonSearchResult(
             epsilon=0.0, lump=exact, iterations=1, boundary="exact_fits_cutoff"
@@ -326,7 +357,7 @@ def find_epsilon(
 
     lo = 0.0
     hi = epsilon_max(basis, M)
-    best = approximate_lump(basis, M, hi)
+    best = lump_at(hi)
     history: list[SearchStep] = []
     iterations = 0
     while hi - lo >= config.d_min:
@@ -338,7 +369,7 @@ def find_epsilon(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket is below float resolution
-        candidate = approximate_lump(basis, M, mid)
+        candidate = lump_at(mid)
         history.append(SearchStep(iterations, lo, hi, mid, candidate.dim))
         if candidate.dim <= target:
             hi = mid

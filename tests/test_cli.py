@@ -194,11 +194,21 @@ class TestFindEpsilon:
             ["--ratio", "0"],
             ["--ratio", "1.5"],
             ["--ratio", "0.5", "--d-min", "0"],
+            ["--ratio", "0.5", "--d-min", "nan"],
         ),
     )
     def test_parameter_validation(self, tmp_path, extra):
         assert run(["find-epsilon", "--model", RATIONAL3,
                     "--out", str(tmp_path / "o")] + extra) == 1
+
+    def test_nan_d_min_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("basis sampled before the flags were checked")
+
+        monkeypatch.setattr("lumpkit.cli.sample_jacobian_basis", no_sampling)
+        assert run(["find-epsilon", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--ratio", "0.5", "--d-min", "nan"]) == 1
+        assert "--d-min" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """Jacobian sampling, the incremental rank test, and span membership."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,24 @@ class TestSampling:
         basis = lk.sample_jacobian_basis(system, domain)
         assert basis.dimension == 4
         assert len(calls) == 4
+
+    def test_huge_entries_keep_the_span(self):
+        # J = [[400 a^399, 0], [1, 0]] spans {E11, E21}; entries up to ~1e308
+        # must not overflow the squared norms of the rank test
+        system = lk.parse_model(
+            "model big\nvar a, b\neq a = a^400\neq b = a\n"
+            "init a = 10\ninit b = 1\nobs b\nhorizon 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sampled = lk.sample_jacobian_basis(system, lk.default_domain(system))
+            explicit = lk.basis_from_points(system, [[5.0, 0.0], [0.5, 0.0]])
+            inside = lk.membership_residual(explicit, [[1e300, 0.0], [-1e300, 0.0]])
+            outside = lk.membership_residual(explicit, [[0.0, 1e300], [0.0, 0.0]])
+        assert sampled.dimension == 2
+        assert explicit.dimension == 2
+        assert inside <= 1e-12 * 1e300
+        assert outside == pytest.approx(1e300, rel=1e-12)
 
     @pytest.mark.parametrize("name", ("rational3", "rational3_perturbed"))
     def test_ortho_flat_is_orthonormal(self, request, name):

@@ -291,6 +291,87 @@ class TestFindEpsilon:
             lk.EpsilonSearchConfig(cutoff_size=1, max_iterations=0)
 
 
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Tolerances of the real sweeps run through lk.lumping.approximate_lump,
+    in call order; the wrapper calls through to the sweep."""
+    original = lk.lumping.approximate_lump
+    log = []
+
+    def counting(basis, observables, epsilon, record_trace=False):
+        log.append(epsilon)
+        return original(basis, observables, epsilon, record_trace)
+
+    monkeypatch.setattr(lk.lumping, "approximate_lump", counting)
+    return log
+
+
+class TestFindEpsilonReuse:
+    """find_epsilon reuses a swept lumping for any tolerance inside its
+    valid_for interval; a replay that sweeps at every tolerance must agree."""
+
+    @staticmethod
+    def assert_replay_agrees(basis, observables, result):
+        for step in result.history:
+            assert step.size == lk.approximate_lump(basis, observables, step.epsilon).dim
+        replay = lk.approximate_lump(basis, observables, result.epsilon)
+        assert result.lump.matrix.tobytes() == replay.matrix.tobytes()
+        assert result.lump.provenance == replay.provenance
+        assert result.lump.epsilon == result.epsilon
+
+    def test_worked_basis_sweeps_fewer_times_than_it_bisects(self, worked_basis, sweep_log):
+        config = lk.EpsilonSearchConfig(cutoff_size=2, d_min=1e-6)
+        result = lk.find_epsilon(worked_basis, OBS_X1, config)
+        # without reuse: exact, epsilon_max, its lumping, one per iteration
+        assert len(sweep_log) < result.iterations + 2
+        self.assert_replay_agrees(worked_basis, OBS_X1, result)
+
+    def test_random_corpus_replay(self, random_corpus, sweep_log):
+        for system, basis, _ in random_corpus:
+            for cutoff in (0, 1, system.dim // 2, system.dim - 1):
+                config = lk.EpsilonSearchConfig(cutoff_size=cutoff, d_min=1e-6)
+                sweep_log.clear()
+                result = lk.find_epsilon(basis, system.observables, config)
+                assert len(sweep_log) <= result.iterations + 3
+                self.assert_replay_agrees(basis, system.observables, result)
+
+
+class TestValidFor:
+    @staticmethod
+    def assert_interval_holds(basis, observables, eps):
+        lump = lk.approximate_lump(basis, observables, eps)
+        lo, hi = lump.valid_for
+        assert 0.0 <= lo <= eps < hi
+        inside = [lo, np.nextafter(hi, lo)]
+        if np.isfinite(hi):
+            inside.append(0.5 * (lo + hi))
+        for tol in inside:
+            other = lk.approximate_lump(basis, observables, tol)
+            assert other.matrix.tobytes() == lump.matrix.tobytes()
+            assert other.provenance == lump.provenance
+        if np.isfinite(hi):
+            beyond = lk.approximate_lump(basis, observables, hi)
+            assert beyond.provenance != lump.provenance
+
+    def test_worked_basis(self, worked_basis):
+        eps_mx = lk.epsilon_max(worked_basis, OBS_X1)
+        for eps in (0.0, 0.05, 0.2, 1.0, eps_mx):
+            self.assert_interval_holds(worked_basis, OBS_X1, eps)
+
+    def test_random_corpus(self, random_corpus):
+        for system, basis, eps_mx in random_corpus:
+            for eps in (0.0, 0.1 * eps_mx, 0.5 * eps_mx, eps_mx):
+                self.assert_interval_holds(basis, system.observables, eps)
+
+    def test_not_serialized(self, worked_basis, reference_lump):
+        assert reference_lump.valid_for is None
+        lump = lk.approximate_lump(worked_basis, OBS_X1, 0.2)
+        assert lump.valid_for is not None
+        assert set(lump.to_json_dict()) == {
+            "rows", "cols", "epsilon", "observable_rank", "matrix", "provenance"
+        }
+
+
 class TestStaircase:
     def test_worked_basis_staircase(self, worked_basis):
         pairs = lk.staircase(worked_basis, OBS_X1, [0.0, 0.05, 0.2, 1.0, 21.0])
