@@ -290,8 +290,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--grid must be at least 200")
     if not (args.rel_tol > 0 and args.abs_tol > 0):
         raise _UsageError("--rel-tol and --abs-tol must be positive")
-    if args.horizon is not None and not (args.horizon > 0):
-        raise _UsageError("--horizon must be positive")
+    if args.horizon is not None and not (0 < args.horizon < math.inf):
+        raise _UsageError("--horizon must be positive and finite")
     seed, out, phases, system, _ = _start(args, sample=False)
     config = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     horizon = system.time_horizon if args.horizon is None else args.horizon

@@ -2,9 +2,12 @@
 
 A model is a system x' = f(x) together with one or more initial conditions,
 a linear observable matrix M, and a time horizon. Drift components are stored
-as expression trees; the same tree walk evaluates plain floats and dual
-numbers, so Jacobians come out of forward-mode differentiation exactly
-(up to float roundoff) instead of finite differencing.
+as expression trees. On first use each system compiles its drift to
+straight-line Python, one function per component, that applies the same
+operators in the same order as :meth:`Expression.evaluate`; the same code
+evaluates plain floats and dual numbers, bit for bit as the tree walk does,
+so Jacobians come out of forward-mode differentiation exactly (up to float
+roundoff) instead of finite differencing.
 
 Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`.
@@ -12,8 +15,10 @@ text format, see :func:`parse_model`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +128,8 @@ class Expression:
 
     def evaluate(self, values):
         """Evaluate with ``values[i]`` bound to variable i. Works on floats
-        and on :class:`DualVector` alike."""
+        and on :class:`DualVector` alike. This tree walk is the reference
+        that the compiled drift of :func:`evaluate_drift` reproduces."""
         raise NotImplementedError
 
 
@@ -220,6 +226,55 @@ def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _straight_line(expr: Expression, body: list[str], constants: list) -> str:
+    """Append one statement ``tK = a op b`` per operator node of ``expr`` to
+    ``body``, left operand before right as :meth:`Expression.evaluate` runs
+    them, and return the operand that holds the value. Variables are read as
+    ``v[i]`` and constants by value as ``c[k]`` (``constants[k]``), so no
+    literal has to parse back. The code nests no parentheses, which CPython
+    caps at 200, so any sum the tree walk evaluates compiles."""
+    if isinstance(expr, Constant):
+        constants.append(expr.value)
+        return f"c[{len(constants) - 1}]"
+    if isinstance(expr, Variable):
+        return f"v[{expr.index}]"
+    if isinstance(expr, Neg):
+        statement = f"-{_straight_line(expr.operand, body, constants)}"
+    elif isinstance(expr, IntPow):
+        statement = f"{_straight_line(expr.base, body, constants)} ** {expr.exponent}"
+    elif type(expr) in _BINARY_OPS:
+        left = _straight_line(expr.left, body, constants)
+        right = _straight_line(expr.right, body, constants)
+        statement = f"{left} {_BINARY_OPS[type(expr)]} {right}"
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    body.append(f"t{len(body)} = {statement}")
+    return f"t{len(body) - 1}"
+
+
+def _compile_drift(name: str, drift: Sequence[Expression]) -> tuple:
+    """One function ``f_i(v)`` per drift component, defined by a single
+    ``exec``. ``f_i(v)`` applies the operators of ``drift[i]`` in the order
+    of ``drift[i].evaluate(v)``, so the results agree bit for bit, on floats
+    and on :class:`DualVector` alike, and so do the errors raised."""
+    constants: list = []
+    lines = []
+    for i, expr in enumerate(drift):
+        body: list[str] = []
+        result = _straight_line(expr, body, constants)
+        lines.append(f"def f{i}(v):")
+        lines.extend(f"    {statement}" for statement in body)
+        lines.append(f"    return {result}")
+    namespace = {"c": tuple(constants)}
+    exec(compile("\n".join(lines), f"<drift of {name}>", "exec"), namespace)
+    # popped, so that the functions and their globals form no reference
+    # cycle and are freed with the system instead of by the cycle collector
+    return tuple(namespace.pop(f"f{i}") for i in range(len(drift)))
+
+
 # ---------------------------------------------------------------------------
 # systems
 
@@ -229,8 +284,11 @@ class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
 
     Invariants checked at construction: one drift expression and one initial
-    value per variable, a positive horizon, and an observable matrix with
-    1 <= p < m whose numerical rank equals its row count.
+    value per variable, a positive finite horizon, and an observable matrix
+    with 1 <= p < m whose numerical rank equals its row count.
+
+    The drift is compiled on first evaluation and cached on the instance;
+    the compiled functions are not part of equality, repr or pickled state.
     """
 
     name: str
@@ -257,8 +315,8 @@ class OdeSystem:
         if not inits:
             raise ModelValidationError("at least one initial condition required")
         object.__setattr__(self, "initial_conditions", tuple(inits))
-        if not (self.time_horizon > 0):
-            raise ModelValidationError("time horizon must be positive")
+        if not (0 < self.time_horizon < math.inf):
+            raise ModelValidationError("time horizon must be positive and finite")
         M = np.atleast_2d(np.asarray(self.observables, dtype=float)).copy()
         p = M.shape[0]
         if M.shape[1] != m:
@@ -275,6 +333,16 @@ class OdeSystem:
     @property
     def dim(self) -> int:
         return len(self.var_names)
+
+    @cached_property
+    def _drift_functions(self) -> tuple:
+        return _compile_drift(self.name, self.drift)
+
+    def __getstate__(self):
+        # compiled functions do not pickle; the copy compiles its own
+        state = self.__dict__.copy()
+        state.pop("_drift_functions", None)
+        return state
 
     def to_text(self) -> str:
         """Serialize back to the model text format."""
@@ -296,17 +364,17 @@ class OdeSystem:
 
 
 def _evaluate_components(system: OdeSystem, x, lift) -> list:
-    """Evaluate every drift component on ``lift(x)`` after checking that x is
-    a state vector. A zero denominator or an overflowing power raises
+    """Evaluate every compiled drift component on ``lift(x)`` after checking
+    that x is a state vector. A zero denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component and x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
         raise ValueError(f"expected a vector of length {system.dim}, got shape {x.shape}")
     values = lift(x)
     results = []
-    for i, expr in enumerate(system.drift):
+    for i, component in enumerate(system._drift_functions):
         try:
-            results.append(expr.evaluate(values))
+            results.append(component(values))
         except (ZeroDivisionError, OverflowError) as exc:
             cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
             raise EvaluationError(
@@ -323,8 +391,10 @@ def _duals(x: np.ndarray) -> list:
 
 
 def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
-    """Evaluate f(x). Pure and deterministic: identical inputs give
-    bit-identical outputs. A zero denominator raises
+    """Evaluate f(x) with the system's compiled straight-line drift, which
+    gives the same bits as ``[e.evaluate(x.tolist()) for e in
+    system.drift]``. Pure and deterministic: identical inputs give
+    bit-identical outputs. A zero denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component."""
     return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
 
@@ -490,7 +560,7 @@ class _ExpressionParser:
                         exp_tok.column,
                     )
                 value = float(exp_tok.text)
-                if value != int(value):
+                if not math.isfinite(value) or value != int(value):
                     raise ModelSyntaxError(
                         "exponent must be a non-negative integer literal",
                         exp_tok.line,
@@ -503,7 +573,12 @@ class _ExpressionParser:
     def _atom(self) -> Expression:
         tok = self.stream.next()
         if tok.kind == "num":
-            return Constant(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ModelSyntaxError(
+                    f"numeric literal {tok.text} overflows to infinity", tok.line, tok.column
+                )
+            return Constant(value)
         if tok.kind == "ident":
             index = self.var_index.get(tok.text)
             if index is None:

@@ -186,11 +186,11 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
     the horizon. Raises :class:`~lumpkit.errors.IntegrationError` on a
     non-finite initial state or drift, on step underflow (stiffness
     suspected) or when max_steps step attempts are spent, naming the time
-    reached.
+    reached. The horizon must be positive and finite (``ValueError``).
     """
     cfg = config or SolverConfig()
-    if not (horizon > 0):
-        raise ValueError("horizon must be positive")
+    if not (0 < horizon < math.inf):
+        raise ValueError("horizon must be positive and finite")
     y = np.asarray(x0, dtype=float).copy()
     if y.ndim != 1 or y.size == 0:
         raise DimensionMismatchError("initial state must be a non-empty vector")

@@ -324,6 +324,13 @@ class TestSimulate:
         assert run(["simulate", "--model", RATIONAL3,
                     "--out", str(tmp_path / "o")] + extra) == 1
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_horizon_must_be_finite(self, tmp_path, capsys, horizon):
+        # an infinite horizon used to integrate toward the million-step budget
+        assert run(["simulate", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--horizon", horizon]) == 1
+        assert "--horizon must be positive and finite" in capsys.readouterr().err
+
     def test_confirmations_flag_rejected(self, tmp_path, capsys):
         # simulate samples no Jacobian basis, so it has no --confirmations
         assert run(["simulate", "--model", RATIONAL3, "--out", str(tmp_path / "o"),

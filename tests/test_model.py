@@ -1,11 +1,15 @@
 """Model text format, expression evaluation, and forward-mode derivatives."""
 
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 import lumpkit as lk
 from lumpkit.errors import EvaluationError, ModelSyntaxError, ModelValidationError
-from lumpkit.model import Add, Constant, Div, Variable
+from lumpkit.model import Add, Constant, Div, Mul, Variable
 
 from conftest import central_difference_jacobian
 
@@ -16,6 +20,38 @@ def two_var(body: str) -> str:
         f"{body}\n"
         "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
     )
+
+
+def dual_inputs(x: np.ndarray) -> list:
+    # variable j carries the j-th unit vector as its partials
+    return [lk.DualVector(float(v), seed) for v, seed in zip(x, np.eye(x.shape[0]))]
+
+
+def tree_walk(system, x: np.ndarray) -> np.ndarray:
+    """Reference f(x): Expression.evaluate on every drift component."""
+    return np.array([expr.evaluate(x.tolist()) for expr in system.drift], dtype=float)
+
+
+def tree_walk_dual(system, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (f, J): Expression.evaluate on dual inputs."""
+    m = system.dim
+    f = np.empty(m)
+    J = np.zeros((m, m))
+    for i, expr in enumerate(system.drift):
+        result = expr.evaluate(dual_inputs(x))
+        if isinstance(result, lk.DualVector):
+            f[i], J[i] = result.value, result.partials
+        else:
+            f[i] = result
+    return f, J
+
+
+def assert_matches_tree_walk(system, x: np.ndarray):
+    assert lk.evaluate_drift(system, x).tobytes() == tree_walk(system, x).tobytes()
+    f, J = lk.evaluate_drift_dual(system, x)
+    f_ref, J_ref = tree_walk_dual(system, x)
+    assert f.tobytes() == f_ref.tobytes()
+    assert J.tobytes() == J_ref.tobytes()
 
 
 class TestParsing:
@@ -83,6 +119,24 @@ class TestParsing:
         with pytest.raises(ModelSyntaxError, match=fragment):
             lk.parse_model(two_var(body))
 
+    @pytest.mark.parametrize(
+        "old, new, position, fragment",
+        [
+            ("eq a = b", "eq a = -1e400*a + b", (3, 9), "overflows to infinity"),
+            ("eq b = a", "eq b = a^1e400", (4, 10), "exponent"),
+            ("init a = 1", "init a = 1e400", (5, 10), "overflows to infinity"),
+            ("obs a", "obs 1e999*a", (7, 5), "overflows to infinity"),
+            ("horizon 1", "horizon 1e400", (8, 9), "overflows to infinity"),
+        ],
+        ids=["eq", "exponent", "init", "obs", "horizon"],
+    )
+    def test_non_finite_literal_rejected(self, old, new, position, fragment):
+        # float("1e400") is inf, which to_text would write back as "inf"
+        text = two_var("eq a = b\neq b = a").replace(old, new)
+        with pytest.raises(ModelSyntaxError, match=fragment) as exc_info:
+            lk.parse_model(text)
+        assert (exc_info.value.line, exc_info.value.column) == position
+
     def test_constant_subtrees_fold_to_one_constant(self):
         system = lk.parse_model(two_var("eq a = 2^3 * -(4/8) - 1 + a/(2-2+1)\neq b = a"))
         assert system.drift[0] == Add(Constant(-5.0), Div(Variable(0), Constant(1.0)))
@@ -147,6 +201,11 @@ class TestParsing:
         )
         with pytest.raises(ModelValidationError, match="horizon"):
             lk.parse_model(text)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, rational3, horizon):
+        with pytest.raises(ModelValidationError, match="horizon"):
+            dataclasses.replace(rational3, time_horizon=horizon)
 
     def test_missing_pieces_rejected(self):
         with pytest.raises(ModelSyntaxError, match="horizon"):
@@ -264,3 +323,88 @@ class TestDualNumbers:
     def test_dual_zero_denominator_raises_evaluation_error(self, rational3):
         with pytest.raises(EvaluationError):
             lk.evaluate_drift_dual(rational3, np.array([1.0, -3.0, 1.0]))
+
+
+class TestCompiledDrift:
+    """evaluate_drift and evaluate_drift_dual run each system's compiled
+    straight-line drift; Expression.evaluate is the reference."""
+
+    def test_bit_parity_with_the_tree_walk(
+        self, rational3, rational3_perturbed, poly4, random_corpus
+    ):
+        systems = [rational3, rational3_perturbed, poly4]
+        systems += [system for system, _, _ in random_corpus]
+        rng = np.random.Generator(np.random.PCG64(3))
+        for system in systems:
+            for _ in range(30):
+                assert_matches_tree_walk(system, rng.uniform(-2.0, 2.0, system.dim))
+
+    def test_every_node_kind(self):
+        # constant and bare-variable components, a^0, unary minus, all four operators
+        system = lk.parse_model(
+            "model kinds\nvar a, b, c\n"
+            "eq a = 3\neq b = c\neq c = -a + a^0 - (a*b)^3/(b^2 + 1.5)\n"
+            "init a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
+        )
+        rng = np.random.Generator(np.random.PCG64(4))
+        for _ in range(20):
+            assert_matches_tree_walk(system, rng.uniform(-2.0, 2.0, 3))
+
+    def test_four_hundred_term_sum(self):
+        # CPython rejects more than 200 nested parentheses; the compiled
+        # code nests none, so any sum the tree walk evaluates compiles
+        terms = " + ".join(f"{k + 1}*a*b^{k % 3}" for k in range(400))
+        system = lk.parse_model(two_var(f"eq a = {terms}\neq b = a"))
+        assert_matches_tree_walk(system, np.array([0.7, -1.3]))
+
+    def test_constants_bound_by_value(self):
+        # the parser rejects "1e400", but a tree built in code may hold inf,
+        # whose repr does not parse back as a number
+        system = lk.OdeSystem(
+            name="built",
+            var_names=("a", "b"),
+            drift=(Mul(Constant(math.inf), Variable(1)), Add(Variable(0), Constant(-0.0))),
+            initial_conditions=([1.0, 1.0],),
+            time_horizon=1.0,
+            observables=[[1.0, 0.0]],
+        )
+        with np.errstate(invalid="ignore"):  # inf times a zero partial
+            assert_matches_tree_walk(system, np.array([0.5, -2.0]))
+        assert lk.evaluate_drift(system, np.array([0.5, -2.0]))[0] == -math.inf
+
+    @pytest.mark.parametrize(
+        "body, x, cause, error",
+        [
+            ("eq a = b\neq b = a/(b - 1)", [2.0, 1.0], "zero denominator", ZeroDivisionError),
+            ("eq a = b\neq b = a^400", [10.0, 1.0], "overflow", OverflowError),
+        ],
+        ids=["zero_denominator", "overflow"],
+    )
+    def test_errors_keep_component_point_and_message(self, body, x, cause, error):
+        system = lk.parse_model(two_var(body))
+        x = np.array(x)
+        for evaluate, lift in (
+            (lk.evaluate_drift, np.ndarray.tolist),
+            (lk.evaluate_drift_dual, dual_inputs),
+        ):
+            with pytest.raises(error):
+                system.drift[1].evaluate(lift(x))
+            with pytest.raises(EvaluationError) as exc_info:
+                evaluate(system, x)
+            assert str(exc_info.value) == f"{cause} evaluating db/dt at x={x.tolist()}"
+            assert exc_info.value.component == 1
+            np.testing.assert_array_equal(exc_info.value.point, x)
+            assert type(exc_info.value.__cause__) is error
+
+    def test_pickle_round_trip(self, rational3_perturbed):
+        x = np.array([0.73, 1.21, 0.4])
+        f = lk.evaluate_drift(rational3_perturbed, x)  # compiles before pickling
+        copy = pickle.loads(pickle.dumps(rational3_perturbed))
+        assert copy.to_text() == rational3_perturbed.to_text()
+        assert copy.drift == rational3_perturbed.drift
+        np.testing.assert_array_equal(copy.observables, rational3_perturbed.observables)
+        assert lk.evaluate_drift(copy, x).tobytes() == f.tobytes()
+        f_dual, J = lk.evaluate_drift_dual(copy, x)
+        f_ref, J_ref = lk.evaluate_drift_dual(rational3_perturbed, x)
+        assert f_dual.tobytes() == f_ref.tobytes()
+        assert J.tobytes() == J_ref.tobytes()

@@ -149,6 +149,19 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatchError):
             lk.integrate(lambda y: np.ones(3), np.ones(2), 1.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
+    def test_horizon_must_be_finite(self, horizon):
+        # rejected before the first drift call, not after the step budget
+        calls = []
+        with pytest.raises(ValueError, match="positive and finite"):
+            lk.integrate(
+                lambda y: calls.append(y) or -y,
+                np.array([1.0]),
+                horizon,
+                lk.SolverConfig(max_steps=20000),
+            )
+        assert calls == []
+
     def test_solver_config_validation(self):
         for kwargs in (
             dict(rel_tol=0.0),
