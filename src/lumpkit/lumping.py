@@ -8,7 +8,8 @@ approximate variant tolerates invariance defects up to a tolerance epsilon.
 The central routine is :func:`approximate_lump`: starting from the
 orthonormalized observable rows it sweeps each row against each basis
 Jacobian and appends the normalized defect whenever the row's image sticks
-out of the current row space by more than epsilon. :func:`epsilon_max` gives
+out of the current row space by more than epsilon, checking each row
+against all basis matrices in one batch. :func:`epsilon_max` gives
 the smallest tolerance that collapses the result back to the observables
 alone, and :func:`find_epsilon` bisects between the two extremes to hit a
 target size.
@@ -190,6 +191,11 @@ def approximate_lump(
     normalized defect as a new row. New rows are swept within the same pass;
     the sweep repeats until one full pass appends nothing.
 
+    Each row is checked against all basis matrices in one batch; after an
+    append only the images not yet checked are projected again, against the
+    grown stack. Decisions, their order and the trace are those of one check
+    at a time, and distances agree with a per-check loop to roundoff.
+
     The tolerance enters only through the comparisons ``distance > epsilon``
     of checks whose distance exceeds the float slack while rows can still be
     appended. The result's ``valid_for`` is [lo, hi): lo the largest such
@@ -214,6 +220,7 @@ def approximate_lump(
     trace: list[TraceEvent] = []
     lo, hi = 0.0, math.inf
 
+    Js = np.stack(basis.matrices) if basis.matrices else np.empty((0, m, m))
     sweep = 0
     appended_in_pass = True
     while appended_in_pass:
@@ -221,26 +228,37 @@ def approximate_lump(
         sweep += 1
         row = 0
         while row < count:
-            r = L[row]
-            for k, J in enumerate(basis.matrices):
-                v = r @ J
+            V = L[row] @ Js
+            slack = ZERO_EPSILON_RTOL * np.linalg.norm(V, axis=1)
+            k0 = 0
+            while k0 < len(V):
+                # the images from k0 on are unchecked; every check before
+                # the first append among them is final as measured here
                 cur = L[:count]
-                defect = project_out(v, cur)
-                distance = float(np.linalg.norm(defect))
-                slack = ZERO_EPSILON_RTOL * float(np.linalg.norm(v))
-                append = distance > max(epsilon, slack) and count < m
+                defects = project_out(V[k0:], cur)
+                dist = np.linalg.norm(defects, axis=1)
+                n = len(dist)
+                if count < m:
+                    over = np.flatnonzero(dist > np.fmax(epsilon, slack[k0:]))
+                    n = int(over[0]) if len(over) else n
+                    lo = float(np.max(dist[:n], where=dist[:n] > slack[k0 : k0 + n], initial=lo))
                 if record_trace:
-                    trace.append(TraceEvent(sweep, row, k, distance, append))
-                if append:
-                    hi = min(hi, distance)
-                    # one extra projection pass keeps the stack orthonormal
-                    defect = project_out(defect, cur)
-                    L[count] = defect / np.linalg.norm(defect)
-                    count += 1
-                    provenance.append(RowProvenance("appended", row, k, distance))
-                    appended_in_pass = True
-                elif distance > slack and count < m:
-                    lo = max(lo, distance)
+                    trace.extend(
+                        TraceEvent(sweep, row, k0 + j, float(dist[j]), j == n)
+                        for j in range(min(n + 1, len(dist)))
+                    )
+                if n == len(dist):
+                    break
+                k = k0 + n
+                distance = float(dist[n])
+                hi = min(hi, distance)
+                # one extra projection pass keeps the stack orthonormal
+                defect = project_out(defects[n], cur)
+                L[count] = defect / np.linalg.norm(defect)
+                count += 1
+                provenance.append(RowProvenance("appended", row, k, distance))
+                appended_in_pass = True
+                k0 = k + 1
             row += 1
 
     return LumpingMatrix(

@@ -279,7 +279,7 @@ def _compile_drift(name: str, drift: Sequence[Expression]) -> tuple:
 # systems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
 
@@ -329,6 +329,17 @@ class OdeSystem:
             raise ModelValidationError("observable matrix is rank-deficient")
         M.setflags(write=False)
         object.__setattr__(self, "observables", M)
+
+    def __eq__(self, other):
+        if not isinstance(other, OdeSystem):
+            return NotImplemented
+        return (
+            (self.name, self.var_names, self.drift, self.time_horizon)
+            == (other.name, other.var_names, other.drift, other.time_horizon)
+            and len(self.initial_conditions) == len(other.initial_conditions)
+            and all(map(np.array_equal, self.initial_conditions, other.initial_conditions))
+            and np.array_equal(self.observables, other.observables)
+        )
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,7 @@
 """Lumping sweep, tolerance extremes, and the size-targeted bisection."""
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from lumpkit.errors import (
     RankDeficiencyError,
 )
 
-from conftest import REFERENCE_ROWS, sweep_fixpoint_holds
+from conftest import REFERENCE_ROWS, model_path, sweep_fixpoint_holds
 
 OBS_X1 = np.array([[1.0, 0.0, 0.0]])
 
@@ -370,6 +372,121 @@ class TestValidFor:
         assert set(lump.to_json_dict()) == {
             "rows", "cols", "epsilon", "observable_rank", "matrix", "provenance"
         }
+
+
+def per_check_lump(basis, observables, epsilon):
+    """Reference sweep that makes one (row, matrix) check at a time with
+    scalar norms. Returns the matrix, the provenance and the trace."""
+    ortho = lk.orthonormalize_rows(observables)
+    m = ortho.shape[1]
+    L = np.zeros((m, m))
+    count = len(ortho)
+    L[:count] = ortho
+    provenance = [lk.lumping.RowProvenance("observable") for _ in range(count)]
+    trace = []
+    sweep, appended_in_pass = 0, True
+    while appended_in_pass:
+        appended_in_pass = False
+        sweep += 1
+        row = 0
+        while row < count:
+            for k, J in enumerate(basis.matrices):
+                v = L[row] @ J
+                cur = L[:count]
+                defect = v - (v @ cur.T) @ cur
+                distance = float(np.linalg.norm(defect))
+                slack = lk.lumping.ZERO_EPSILON_RTOL * float(np.linalg.norm(v))
+                append = distance > max(epsilon, slack) and count < m
+                trace.append(lk.lumping.TraceEvent(sweep, row, k, distance, append))
+                if append:
+                    defect = defect - (defect @ cur.T) @ cur
+                    L[count] = defect / np.linalg.norm(defect)
+                    count += 1
+                    provenance.append(lk.lumping.RowProvenance("appended", row, k, distance))
+                    appended_in_pass = True
+            row += 1
+    return L[:count], provenance, trace
+
+
+def bundled_bases():
+    for name in ("rational3.ode", "rational3_perturbed.ode", "poly4.ode"):
+        system = lk.parse_model(model_path(name).read_text())
+        for seed in range(4):
+            domain = lk.default_domain(system, seed=seed)
+            yield lk.sample_jacobian_basis(system, domain), system.observables
+
+
+class TestBatchedSweep:
+    """approximate_lump checks each row against all basis matrices in one
+    batch; per_check_lump is the loop it replaced. Batching changes the
+    summation order, so distances agree to roundoff and the decisions agree
+    exactly. Tolerances sit at 0, inside each decision interval and at inf:
+    at an interval edge a last-ulp change in a distance flips the decision
+    by design."""
+
+    @staticmethod
+    def assert_agrees(basis, observables, eps):
+        lump = lk.approximate_lump(basis, observables, eps, record_trace=True)
+        L, provenance, trace = per_check_lump(basis, observables, eps)
+        assert lump.dim == len(L)
+        origin = attrgetter("origin", "source_row", "source_matrix")
+        assert list(map(origin, lump.provenance)) == list(map(origin, provenance))
+        check = attrgetter("sweep", "row", "matrix", "appended")
+        assert list(map(check, lump.trace)) == list(map(check, trace))
+        appended = lump.provenance[lump.observable_rank:], provenance[lump.observable_rank:]
+        for ours, ref in [*zip(lump.trace, trace), *zip(*appended)]:
+            assert abs(ours.distance - ref.distance) <= 1e-12
+        assert np.max(np.abs(lump.matrix.T @ lump.matrix - L.T @ L)) <= 1e-12
+
+    def assert_agrees_on_every_interval(self, basis, observables):
+        self.assert_agrees(basis, observables, 0.0)
+        lo, hi = 0.0, lk.approximate_lump(basis, observables, 0.0).valid_for[1]
+        while hi < np.inf:
+            self.assert_agrees(basis, observables, 0.5 * (lo + hi))
+            lo, hi = hi, lk.approximate_lump(basis, observables, hi).valid_for[1]
+        self.assert_agrees(basis, observables, np.inf)
+
+    def test_worked_basis(self, worked_basis):
+        self.assert_agrees_on_every_interval(worked_basis, OBS_X1)
+
+    def test_bundled_models(self):
+        for basis, observables in bundled_bases():
+            self.assert_agrees_on_every_interval(basis, observables)
+
+    def test_random_corpus(self, random_corpus):
+        for system, basis, _ in random_corpus:
+            self.assert_agrees_on_every_interval(basis, system.observables)
+
+    def test_empty_basis(self):
+        # a constant drift has the zero Jacobian everywhere: no basis
+        # matrices, so there is nothing to check
+        system = lk.parse_model(
+            "model constant\nvar a, b\neq a = 1\neq b = -2\n"
+            "init a = 0\ninit b = 0\nobs a\nhorizon 1\n"
+        )
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system))
+        assert basis.dimension == 0
+        M = system.observables
+        lump = lk.approximate_lump(basis, M, 0.0, record_trace=True)
+        assert (lump.dim, lump.trace, lump.valid_for) == (1, (), (0.0, np.inf))
+        assert lk.epsilon_max(basis, M) == 0.0
+        result = lk.find_epsilon(basis, M, lk.EpsilonSearchConfig(cutoff_size=1))
+        assert (result.boundary, result.epsilon, result.lump.dim) == ("exact_fits_cutoff", 0.0, 1)
+        assert lk.staircase(basis, M, [0.0, 1.0]) == ((0.0, 1), (1.0, 1))
+
+    def test_stack_fills_mid_row(self, monkeypatch):
+        # with no float slack every nonzero distance counts, so the roundoff
+        # distances measured once the stack is full would move valid_for[0]
+        # off 0 if they were taken into account
+        monkeypatch.setattr(lk.lumping, "ZERO_EPSILON_RTOL", 0.0)
+        rng = np.random.Generator(np.random.PCG64(7))
+        basis = lk.basis_from_matrices(rng.normal(size=(6, 4, 4)))
+        lump = lk.approximate_lump(basis, rng.normal(size=(1, 4)), 0.0, record_trace=True)
+        assert lump.dim == 4
+        assert [(e.row, e.matrix) for e in lump.trace if e.appended] == [(0, 0), (0, 1), (0, 2)]
+        assert len(lump.trace) == 2 * 4 * 6
+        assert any(e.distance > 0.0 for e in lump.trace[3:])
+        assert lump.valid_for == (0.0, min(pr.distance for pr in lump.provenance[1:]))
 
 
 class TestStaircase:

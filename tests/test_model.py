@@ -11,7 +11,7 @@ import lumpkit as lk
 from lumpkit.errors import EvaluationError, ModelSyntaxError, ModelValidationError
 from lumpkit.model import Add, Constant, Div, Mul, Variable
 
-from conftest import central_difference_jacobian
+from conftest import central_difference_jacobian, model_path
 
 
 def two_var(body: str) -> str:
@@ -101,6 +101,15 @@ class TestParsing:
     def test_round_trip_identical_tree(self, rational3):
         reparsed = lk.parse_model(rational3.to_text())
         assert reparsed.drift == rational3.drift
+
+    def test_equality_compares_arrays_by_value(self, poly4):
+        text = model_path("poly4.ode").read_text()
+        assert lk.parse_model(text) == lk.parse_model(text)
+        lk.evaluate_drift(poly4, np.ones(4))  # compiled functions do not count
+        assert pickle.loads(pickle.dumps(poly4)) == poly4
+        other = dataclasses.replace(poly4, observables=[[0.0, 0.0, 1.0, 0.0]])
+        assert other != poly4
+        assert poly4 != text
 
     @pytest.mark.parametrize(
         "body, fragment",
