@@ -7,6 +7,12 @@ the matrices whose flattened form is numerically independent of what was
 kept so far (two classical Gram-Schmidt passes, see :func:`project_out`).
 Sampling stops once a run of consecutive draws adds nothing new.
 
+Points are drawn and evaluated a block of up to m at a time, one
+:func:`~lumpkit.model.evaluate_drift_dual` call per block, and their
+Jacobians go through the rank test one by one. A block draws the same numbers
+as the same count of single draws, and the dual evaluation of a block gives
+each point's bits, so the basis is the one point-by-point sampling builds.
+
 Randomness comes from numpy's PCG64 generator seeded explicitly, so a given
 seed reproduces the same basis on any platform.
 """
@@ -37,7 +43,7 @@ __all__ = [
 RANK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingDomain:
     """Axis-aligned box to draw sample points from, plus sampling knobs.
 
@@ -71,6 +77,16 @@ class SamplingDomain:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    def __eq__(self, other):
+        if not isinstance(other, SamplingDomain):
+            return NotImplemented
+        return (
+            (self.seed, self.max_resamples, self.confirmations)
+            == (other.seed, other.max_resamples, other.confirmations)
+            and np.array_equal(self.lower, other.lower)
+            and np.array_equal(self.upper, other.upper)
+        )
+
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
@@ -89,7 +105,7 @@ def default_domain(system: OdeSystem, seed: int = 0, confirmations: int = 3) -> 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianBasis:
     """Numerically independent Jacobian samples spanning span{J(x)}.
 
@@ -107,6 +123,18 @@ class JacobianBasis:
             raise DimensionMismatchError("one sample point slot per matrix required")
         if self.ortho_flat.shape != (len(self.matrices), self.state_dim**2):
             raise DimensionMismatchError("ortho_flat shape mismatch")
+
+    def __eq__(self, other):
+        if not isinstance(other, JacobianBasis):
+            return NotImplemented
+        # np.array_equal(None, None) holds, and None equals no array
+        return (
+            self.state_dim == other.state_dim
+            and len(self.matrices) == len(other.matrices)
+            and all(map(np.array_equal, self.matrices, other.matrices))
+            and all(map(np.array_equal, self.sample_points, other.sample_points))
+            and np.array_equal(self.ortho_flat, other.ortho_flat)
+        )
 
     @property
     def dimension(self) -> int:
@@ -217,6 +245,11 @@ def sample_jacobian_basis(
     ``initial_points`` are consumed before any random draw and go through the
     same independence test. Points where the drift is singular are skipped;
     more than ``max_resamples`` consecutive failures abort.
+
+    Points are evaluated in blocks of up to m (fewer near the m^2 cap), and
+    a block with a singular point again one point at a time; the basis, the
+    skipped points and the failure count are those of point-by-point
+    sampling.
     """
     m = system.dim
     if domain.dim != m:
@@ -227,19 +260,35 @@ def sample_jacobian_basis(
 
     def candidates():
         failures = 0
+        yielded = 0
         while True:
-            x = queue.popleft() if queue else rng.uniform(domain.lower, domain.upper)
+            # the span fills no sooner than m^2 - yielded more candidates, so
+            # the cap never leaves a point of this block evaluated in vain
+            size = max(1, min(m, m * m - yielded))
+            if queue:
+                X = np.array([queue.popleft() for _ in range(min(size, len(queue)))])
+            else:
+                X = rng.uniform(domain.lower, domain.upper, size=(size, m))
             try:
-                _, J = evaluate_drift_dual(system, x)
+                _, jacobians = evaluate_drift_dual(system, X)
             except EvaluationError:
-                failures += 1
-                if failures > limit:
-                    raise SamplingError(
-                        f"{failures} consecutive singular samples; shrink or move the domain"
-                    ) from None
-                continue
-            failures = 0
-            yield J, x
+                # a singular point: evaluate the block again one point at a time
+                jacobians = [None] * len(X)
+            for x, J in zip(X, jacobians):
+                if J is None:
+                    try:
+                        _, J = evaluate_drift_dual(system, x)
+                    except EvaluationError:
+                        failures += 1
+                        if failures > limit:
+                            raise SamplingError(
+                                f"{failures} consecutive singular samples; "
+                                "shrink or move the domain"
+                            ) from None
+                        continue
+                failures = 0
+                yielded += 1
+                yield J, x
 
     return _build_basis(m, candidates(), domain.confirmations)
 

@@ -100,7 +100,7 @@ class TraceEvent:
     appended: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LumpingMatrix:
     """A reduction y = Lx with orthonormal rows.
 
@@ -140,6 +140,15 @@ class LumpingMatrix:
         object.__setattr__(self, "matrix", L)
         if self.provenance and len(self.provenance) != l:
             raise DimensionMismatchError("one provenance entry per row required")
+
+    def __eq__(self, other):
+        if not isinstance(other, LumpingMatrix):
+            return NotImplemented
+        return (
+            (self.epsilon, self.observable_rank, self.provenance, self.trace, self.valid_for)
+            == (other.epsilon, other.observable_rank, other.provenance, other.trace, other.valid_for)
+            and np.array_equal(self.matrix, other.matrix)
+        )
 
     @classmethod
     def from_rows(cls, rows, epsilon: float = 0.0, observable_rank: int | None = None):

@@ -7,7 +7,10 @@ straight-line Python, one function per component, that applies the same
 operators in the same order as :meth:`Expression.evaluate`; the same code
 evaluates plain floats and dual numbers, bit for bit as the tree walk does,
 so Jacobians come out of forward-mode differentiation exactly (up to float
-roundoff) instead of finite differencing.
+roundoff) instead of finite differencing. :func:`evaluate_drift_dual` also
+takes an ``(N, m)`` block of points and runs the compiled code once on duals
+whose values are ``(N,)`` arrays; every f and J it returns has the bits of a
+one-point evaluation.
 
 Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`.
@@ -48,14 +51,26 @@ __all__ = [
 # dual numbers
 
 
+def _has_zero(value) -> bool:
+    return bool((value == 0.0).any()) if isinstance(value, np.ndarray) else value == 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class DualVector:
     """A value together with its partial derivatives w.r.t. the m state
     variables. Arithmetic implements the chain rule, so running an
     expression tree on DualVector inputs yields one Jacobian row per drift
-    component in a single pass."""
+    component in a single pass.
 
-    value: float
+    ``value`` is a float with ``(m,)`` partials, or, for a block of N points,
+    an ``(N,)`` array with ``(m, N)`` partials. numpy applies the same IEEE
+    operations per element as Python floats do, and integer powers run
+    Python's float ``**`` per element, so each point of a block gets the bits
+    of its one-point evaluation. A zero divisor anywhere in the block raises
+    ``ZeroDivisionError``; an overflowing power, or power derivative at a
+    finite value, raises ``OverflowError``."""
+
+    value: float | np.ndarray
     partials: np.ndarray
 
     def __add__(self, other):
@@ -85,7 +100,7 @@ class DualVector:
 
     def __truediv__(self, other):
         if isinstance(other, DualVector):
-            if other.value == 0.0:
+            if _has_zero(other.value):
                 raise ZeroDivisionError("division by zero")
             inv = 1.0 / other.value
             val = self.value * inv
@@ -95,7 +110,7 @@ class DualVector:
         return DualVector(self.value / other, self.partials / other)
 
     def __rtruediv__(self, other):
-        if self.value == 0.0:
+        if _has_zero(self.value):
             raise ZeroDivisionError("division by zero")
         val = other / self.value
         return DualVector(val, -val / self.value * self.partials)
@@ -110,10 +125,20 @@ class DualVector:
             return DualVector(1.0, np.zeros_like(self.partials))
         if exponent == 1:
             return self
-        return DualVector(
-            self.value**exponent,
-            exponent * self.value ** (exponent - 1) * self.partials,
-        )
+        if isinstance(self.value, np.ndarray):
+            # np.power may differ from Python's ** in the last bit
+            values = self.value.tolist()
+            power = np.array([v**exponent for v in values])
+            slope = np.array([exponent * v ** (exponent - 1) for v in values])
+            overflow = bool((np.isinf(slope) & np.isfinite(self.value)).any())
+        else:
+            power = self.value**exponent
+            slope = exponent * self.value ** (exponent - 1)
+            overflow = math.isinf(slope) and math.isfinite(self.value)
+        if overflow:
+            # as ** raises for the value, instead of inf and nan partials
+            raise OverflowError("derivative of an integer power overflows")
+        return DualVector(power, slope * self.partials)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +399,21 @@ class OdeSystem:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_components(system: OdeSystem, x, lift) -> list:
-    """Evaluate every compiled drift component on ``lift(x)`` after checking
-    that x is a state vector. A zero denominator or an overflowing power raises
-    :class:`~lumpkit.errors.EvaluationError` naming the component and x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim,):
-        raise ValueError(f"expected a vector of length {system.dim}, got shape {x.shape}")
+def _evaluate_components(system: OdeSystem, x: np.ndarray, lift) -> list:
+    """Evaluate every compiled drift component on ``lift(x)``. A zero
+    denominator or an overflowing power raises
+    :class:`~lumpkit.errors.EvaluationError` naming the component and x; for
+    an ``(N, m)`` block x, the points are then evaluated one at a time, so the
+    error names the first singular point as a one-point call would."""
     values = lift(x)
     results = []
     for i, component in enumerate(system._drift_functions):
         try:
             results.append(component(values))
         except (ZeroDivisionError, OverflowError) as exc:
+            if x.ndim == 2:
+                for point in x:
+                    _evaluate_components(system, point, lift)
             cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
             raise EvaluationError(
                 f"{cause} evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
@@ -397,8 +424,13 @@ def _evaluate_components(system: OdeSystem, x, lift) -> list:
 
 
 def _duals(x: np.ndarray) -> list:
-    # variable j carries the j-th unit vector as its partials
-    return [DualVector(float(v), seed) for v, seed in zip(x, np.eye(x.shape[0]))]
+    # variable j carries the j-th unit vector as its partials; the variables
+    # of an (N, m) block are its columns, with (m, N) partials
+    seeds = np.eye(x.shape[-1])
+    if x.ndim == 1:
+        return [DualVector(float(v), seed) for v, seed in zip(x, seeds)]
+    seeds = np.broadcast_to(seeds[:, :, None], seeds.shape + x.shape[:1])
+    return [DualVector(column, seed) for column, seed in zip(x.T.copy(), seeds)]
 
 
 def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
@@ -407,22 +439,36 @@ def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
     system.drift]``. Pure and deterministic: identical inputs give
     bit-identical outputs. A zero denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (system.dim,):
+        raise ValueError(f"expected a vector of length {system.dim}, got shape {x.shape}")
     return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
 
 
 def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate f(x) and the exact Jacobian J(x) by forward-mode dual
-    numbers. Returns ``(f, J)`` with ``J[i, j] = df_i/dx_j``."""
+    numbers. Returns ``(f, J)`` with ``J[i, j] = df_i/dx_j``.
+
+    ``x`` may also be an ``(N, m)`` block of points, one per row; then f is
+    ``(N, m)`` and J is ``(N, m, m)``, and the compiled drift runs once for
+    the whole block. Each row of the result has the bits of a one-point call.
+    A singular point anywhere in the block raises the
+    :class:`~lumpkit.errors.EvaluationError` of the first such point."""
     m = system.dim
-    f = np.empty(m)
-    jac = np.zeros((m, m))
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != m:
+        raise ValueError(
+            f"expected a vector of length {m} or an (N, {m}) block, got shape {x.shape}"
+        )
+    f = np.empty(x.shape)
+    jac = np.zeros(x.shape + (m,))
     for i, result in enumerate(_evaluate_components(system, x, _duals)):
         if isinstance(result, DualVector):
-            f[i] = result.value
-            jac[i, :] = result.partials
+            f[..., i] = result.value
+            jac[..., i, :] = result.partials.T
         else:
             # constant drift component: zero partials
-            f[i] = result
+            f[..., i] = result
     return f, jac
 
 

@@ -8,7 +8,9 @@ rejections), not worked around.
 :func:`reduction_report` integrates the full and the reduced system side by
 side on a shared output grid and summarizes the observable error, the drift
 deviation along the trajectory, and an a-priori error bound built from an
-estimated Lipschitz constant.
+estimated Lipschitz constant. :func:`estimate_lipschitz` evaluates its sample
+Jacobians as one block of dual numbers, with the bits of one evaluation per
+point.
 """
 
 from __future__ import annotations
@@ -320,8 +322,10 @@ def estimate_lipschitz(
     largest spectral norm ``np.linalg.norm(J(x), 2)`` at random sample points,
     times a 1.1 safety factor. The points are the PCG64 ``uniform(lower,
     upper)`` stream for ``domain.seed``, the stream Jacobian sampling draws.
-    Singular points are skipped; more than ``max_resamples`` of them in a row
-    raise :class:`~lumpkit.errors.SamplingError`."""
+    They are drawn and evaluated as one ``(n_samples, m)`` block, which gives
+    the bits of one draw and one evaluation per point. Singular points are
+    skipped and replaced by a further block; more than ``max_resamples`` of
+    them in a row raise :class:`~lumpkit.errors.SamplingError`."""
     if domain.dim != system.dim:
         raise DimensionMismatchError("domain dimension does not match the system")
     if n_samples < 1:
@@ -332,19 +336,27 @@ def estimate_lipschitz(
     collected = 0
     failures = 0
     while collected < n_samples:
-        x = rng.uniform(domain.lower, domain.upper)
+        X = rng.uniform(domain.lower, domain.upper, size=(n_samples - collected, system.dim))
         try:
-            _, J = evaluate_drift_dual(system, x)
+            _, jacobians = evaluate_drift_dual(system, X)
         except EvaluationError:
-            failures += 1
-            if failures > limit:
-                raise SamplingError(
-                    "could not find enough non-singular points for the Lipschitz estimate"
-                ) from None
-            continue
-        failures = 0
-        collected += 1
-        worst = max(worst, float(np.linalg.norm(J, 2)))
+            # a singular point: evaluate the block again one point at a time
+            jacobians = [None] * len(X)
+        for x, J in zip(X, jacobians):
+            if J is None:
+                try:
+                    _, J = evaluate_drift_dual(system, x)
+                except EvaluationError:
+                    failures += 1
+                    if failures > limit:
+                        raise SamplingError(
+                            "could not find enough non-singular points for the "
+                            "Lipschitz estimate"
+                        ) from None
+                    continue
+            failures = 0
+            collected += 1
+            worst = max(worst, float(np.linalg.norm(J, 2)))
     return 1.1 * worst
 
 

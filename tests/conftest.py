@@ -47,6 +47,13 @@ WORKED_BASIS_PERTURBED = (
 # Rows spanning the exact reduction of the plain rational model.
 REFERENCE_ROWS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
 
+# a^400 overflows above a ~ 5.897 and its derivative 400 a^399 above
+# a ~ 5.84, so points there are singular; the Jacobian span is {E11, E21}.
+BIG_POWER = (
+    "model big\nvar a, b\neq a = a^400\neq b = a\n"
+    "init a = 10\ninit b = 1\nobs b\nhorizon 1\n"
+)
+
 
 def model_path(name: str) -> Path:
     return MODELS_DIR / name

@@ -1,14 +1,41 @@
 """Jacobian sampling, the incremental rank test, and span membership."""
 
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
 
 import lumpkit as lk
-from lumpkit.errors import DimensionMismatchError, SamplingError
+from lumpkit.errors import DimensionMismatchError, EvaluationError, SamplingError
+from lumpkit.jacobian import _build_basis
 
-from conftest import CANONICAL_POINTS, GOLDEN_J_PLAIN
+from conftest import BIG_POWER, CANONICAL_POINTS, GOLDEN_J_PLAIN
+
+
+def per_point_basis(system, domain, initial_points=()):
+    """Test-only oracle: the sampler with one draw and one dual evaluation
+    per point."""
+    m = system.dim
+    limit = domain.max_resamples if domain.max_resamples is not None else 100 * m
+    rng = np.random.Generator(np.random.PCG64(domain.seed))
+    queue = deque(np.asarray(x, dtype=float) for x in initial_points)
+
+    def candidates():
+        failures = 0
+        while True:
+            x = queue.popleft() if queue else rng.uniform(domain.lower, domain.upper)
+            try:
+                _, J = lk.evaluate_drift_dual(system, x)
+            except EvaluationError:
+                failures += 1
+                if failures > limit:
+                    raise SamplingError(f"{failures} consecutive singular samples") from None
+                continue
+            failures = 0
+            yield J, x
+
+    return _build_basis(m, candidates(), domain.confirmations)
 
 
 class TestGoldenJacobians:
@@ -83,17 +110,36 @@ class TestSampling:
             "model full\nvar a, b\neq a = a^3/3 + b^3/3\neq b = a*b\n"
             "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
         )
-        calls = []
+        points = []
 
         def counting(system, x):
-            calls.append(x)
+            points.extend(np.atleast_2d(x))
             return lk.evaluate_drift_dual(system, x)
 
         monkeypatch.setattr("lumpkit.jacobian.evaluate_drift_dual", counting)
         domain = lk.default_domain(system, confirmations=50)
         basis = lk.sample_jacobian_basis(system, domain)
         assert basis.dimension == 4
-        assert len(calls) == 4
+        assert len(points) == 4
+
+    def test_dependent_candidates_shrink_the_last_blocks(self, monkeypatch):
+        # the repeated initial point is dependent, so the cap is met only at
+        # the fifth candidate: blocks of 2, 2 and 1 evaluate exactly five
+        system = lk.parse_model(
+            "model full\nvar a, b\neq a = a^3/3 + b^3/3\neq b = a*b\n"
+            "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
+        )
+        points = []
+
+        def counting(system, x):
+            points.extend(np.atleast_2d(x))
+            return lk.evaluate_drift_dual(system, x)
+
+        monkeypatch.setattr("lumpkit.jacobian.evaluate_drift_dual", counting)
+        domain = lk.default_domain(system, confirmations=50)
+        basis = lk.sample_jacobian_basis(system, domain, [[1.0, 2.0], [1.0, 2.0]])
+        assert basis.dimension == 4
+        assert len(points) == 5
 
     def test_huge_entries_keep_the_span(self):
         # J = [[400 a^399, 0], [1, 0]] spans {E11, E21}; entries up to ~1e308
@@ -137,6 +183,64 @@ class TestSampling:
         with pytest.raises(DimensionMismatchError):
             lk.sample_jacobian_basis(rational3, domain)
 
+    def test_overflowing_power_derivative_is_singular(self):
+        # 400 a^399 overflows on the whole box (and a^400 too above ~5.897):
+        # every point is skipped, where the inf and nan Jacobians used to
+        # give a basis of dimension 0
+        system = lk.parse_model(BIG_POWER)
+        domain = lk.SamplingDomain(lower=[5.84, 0.0], upper=[5.89, 1.0])
+        with pytest.raises(SamplingError):
+            lk.sample_jacobian_basis(system, domain)
+
+
+class TestBlockSampling:
+    """Blocks of draws give the basis of one draw and one evaluation at a
+    time: same matrices, points and ortho_flat bits."""
+
+    def test_bundled_models_and_random_corpus(
+        self, rational3, rational3_perturbed, poly4, random_corpus
+    ):
+        cases = [(s, seed) for s in (rational3, rational3_perturbed, poly4) for seed in range(4)]
+        cases += [(system, 0) for system, _, _ in random_corpus]
+        for system, seed in cases:
+            domain = lk.default_domain(system, seed=seed)
+            assert lk.sample_jacobian_basis(system, domain) == per_point_basis(system, domain)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_point_inside_a_block(self, rational3, seed):
+        # (1, -3, 1) zeroes a denominator, so the first block of initial
+        # points is evaluated again one point at a time
+        initial = [[1.0, -3.0, 1.0], *CANONICAL_POINTS]
+        domain = lk.default_domain(rational3, seed=seed)
+        with pytest.raises(EvaluationError):
+            lk.evaluate_drift_dual(rational3, np.array(initial[:3]))
+        basis = lk.sample_jacobian_basis(rational3, domain, initial_points=initial)
+        assert basis == per_point_basis(rational3, domain, initial)
+        assert not any(np.array_equal(x, initial[0]) for x in basis.sample_points)
+
+    def test_singular_runs_are_counted_across_blocks(self):
+        # about 70% of [0, 20] x [0, 1] is singular, so runs of singular
+        # draws often span blocks of m = 2; the run that exceeds
+        # max_resamples must be the one point-by-point sampling counts
+        system = lk.parse_model(BIG_POWER)
+        outcomes = set()
+        for limit in range(1, 7):
+            for seed in range(10):
+                domain = lk.SamplingDomain(
+                    lower=[0.0, 0.0], upper=[20.0, 1.0], seed=seed, max_resamples=limit
+                )
+                try:
+                    expected = per_point_basis(system, domain)
+                except SamplingError as exc:
+                    expected = str(exc)
+                try:
+                    got = lk.sample_jacobian_basis(system, domain)
+                except SamplingError as exc:
+                    got = str(exc).split(";")[0]
+                assert got == expected
+                outcomes.add(isinstance(got, str))
+        assert outcomes == {True, False}
+
 
 class TestSamplingDomain:
     def test_default_domain_box(self, rational3):
@@ -159,6 +263,13 @@ class TestSamplingDomain:
         with pytest.raises(exc):
             lk.SamplingDomain(**kwargs)
 
+    def test_equality_compares_arrays_by_value(self):
+        domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2), seed=3)
+        assert domain == lk.SamplingDomain(lower=[0.0, 0.0], upper=[1.0, 1.0], seed=3)
+        assert domain != lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2), seed=4)
+        assert domain != lk.SamplingDomain(lower=np.zeros(2), upper=np.full(2, 2.0), seed=3)
+        assert domain != lk.SamplingDomain(lower=np.zeros(3), upper=np.ones(3), seed=3)
+
 
 class TestExplicitBases:
     def test_dependent_matrices_are_filtered(self):
@@ -173,6 +284,15 @@ class TestExplicitBases:
             lk.basis_from_matrices([])
         basis = lk.basis_from_matrices([], state_dim=3)
         assert basis.dimension == 0
+
+    def test_equality_compares_arrays_by_value(self):
+        J1, J2 = GOLDEN_J_PLAIN[0], GOLDEN_J_PLAIN[1]
+        basis = lk.basis_from_matrices([J1, J2])
+        assert basis == lk.basis_from_matrices([J1.copy(), J2.copy()])
+        assert basis != lk.basis_from_matrices([J2, J1])
+        assert basis != lk.basis_from_matrices([J1, J2], sample_points=[None, np.ones(3)])
+        assert basis != lk.basis_from_matrices([J1])
+        assert basis != lk.basis_from_matrices([], state_dim=3)
 
     def test_to_json_dict_schema(self, worked_basis):
         payload = worked_basis.to_json_dict()

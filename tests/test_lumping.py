@@ -81,6 +81,16 @@ class TestLumpingMatrix:
         with pytest.raises(ValueError):
             reference_lump.matrix[0, 0] = 2.0
 
+    def test_equality_compares_arrays_by_value(self, worked_basis):
+        rows = np.eye(3)[:2]
+        assert lk.LumpingMatrix.from_rows(rows) == lk.LumpingMatrix.from_rows(rows.copy())
+        assert lk.LumpingMatrix.from_rows(rows) != lk.LumpingMatrix.from_rows(np.eye(3)[1:])
+        assert lk.LumpingMatrix.from_rows(rows) != lk.LumpingMatrix.from_rows(rows, epsilon=0.1)
+        first = lk.approximate_lump(worked_basis, OBS_X1, 0.2, record_trace=True)
+        again = lk.approximate_lump(worked_basis, OBS_X1, 0.2, record_trace=True)
+        assert first == again
+        assert first != lk.approximate_lump(worked_basis, OBS_X1, 0.2)
+
 
 @pytest.fixture(scope="module")
 def worked_sweep_lump(worked_basis):

@@ -333,6 +333,98 @@ class TestDualNumbers:
         with pytest.raises(EvaluationError):
             lk.evaluate_drift_dual(rational3, np.array([1.0, -3.0, 1.0]))
 
+    def test_power_derivative_overflow_raises(self):
+        # 5.86^400 is finite, 400 * 5.86^399 is not: raise as ** does for
+        # the value, instead of an inf partial and an inf * 0 = nan one
+        x = lk.DualVector(5.86, np.array([1.0, 0.0]))
+        block = lk.DualVector(np.array([1.0, 5.86]), np.array([[1.0, 1.0], [0.0, 0.0]]))
+        for dual in (x, block):
+            with pytest.raises(OverflowError):
+                _ = dual**400
+        system = lk.parse_model(two_var("eq a = a^400\neq b = a"))
+        point = np.array([5.86, 0.0])
+        assert np.isfinite(lk.evaluate_drift(system, point)).all()
+        for x in (point, np.array([[1.0, 0.0], point])):
+            with pytest.raises(EvaluationError) as exc_info:
+                lk.evaluate_drift_dual(system, x)
+            assert str(exc_info.value) == "overflow evaluating da/dt at x=[5.86, 0.0]"
+            assert exc_info.value.component == 0
+            np.testing.assert_array_equal(exc_info.value.point, point)
+
+
+class TestBatchedDuals:
+    """evaluate_drift_dual on an (N, m) block gives each row the bits of a
+    one-point call."""
+
+    @staticmethod
+    def assert_block_matches_points(system, X):
+        F, J = lk.evaluate_drift_dual(system, X)
+        assert F.shape == X.shape and J.shape == X.shape + (system.dim,)
+        for x, f, jac in zip(X, F, J):
+            f_ref, J_ref = lk.evaluate_drift_dual(system, x)
+            assert f.tobytes() == f_ref.tobytes()
+            assert jac.tobytes() == J_ref.tobytes()
+
+    def test_bundled_models_and_random_corpus(
+        self, rational3, rational3_perturbed, poly4, random_corpus
+    ):
+        # negative coordinates put negative bases under the integer powers
+        systems = [rational3, rational3_perturbed, poly4]
+        systems += [system for system, _, _ in random_corpus]
+        rng = np.random.Generator(np.random.PCG64(8))
+        for system in systems:
+            for size in (1, system.dim, 40):
+                self.assert_block_matches_points(
+                    system, rng.uniform(-2.0, 2.0, (size, system.dim))
+                )
+
+    def test_every_node_kind(self):
+        system = lk.parse_model(
+            "model kinds\nvar a, b, c\n"
+            "eq a = 3\neq b = c\neq c = -a + a^0 - (a*b)^3/(b^2 + 1.5)\n"
+            "init a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
+        )
+        X = np.random.Generator(np.random.PCG64(4)).uniform(-2.0, 2.0, (50, 3))
+        assert (X < 0).any(axis=0).all()
+        self.assert_block_matches_points(system, X)
+
+    def test_integer_powers_round_as_python_floats(self):
+        # np.power rounds differently from Python's float ** on a few
+        # percent of the values for these exponents on some hosts
+        names = [f"x{k}" for k in range(2, 10)]
+        system = lk.parse_model(
+            "model powers\nvar " + ", ".join(names) + "\n"
+            + "".join(f"eq {n} = {n}^{k}\n" for n, k in zip(names, range(2, 10)))
+            + "".join(f"init {n} = 1\n" for n in names)
+            + "obs x2\nhorizon 1\n"
+        )
+        X = np.random.Generator(np.random.PCG64(9)).uniform(-3.0, 3.0, (500, 8))
+        self.assert_block_matches_points(system, X)
+
+    def test_error_names_the_first_singular_point(self):
+        # (2, 2) is singular in db/dt only, (1, 0) in da/dt: the block run
+        # fails first in da/dt whatever the order, but must report the
+        # error of the first singular row, as point-by-point calls would
+        system = lk.parse_model(two_var("eq a = b/(a - 1)\neq b = a/(b - 2)"))
+        for block, first in (
+            ([[0.5, 0.5], [2.0, 2.0], [1.0, 0.0]], [2.0, 2.0]),
+            ([[1.0, 0.0], [2.0, 2.0]], [1.0, 0.0]),
+        ):
+            block, first = np.array(block), np.array(first)
+            with pytest.raises(EvaluationError) as block_error:
+                lk.evaluate_drift_dual(system, block)
+            with pytest.raises(EvaluationError) as point_error:
+                lk.evaluate_drift_dual(system, first)
+            assert str(block_error.value) == str(point_error.value)
+            assert block_error.value.component == point_error.value.component
+            np.testing.assert_array_equal(block_error.value.point, first)
+            assert type(block_error.value.__cause__) is ZeroDivisionError
+
+    def test_shape_validation(self, rational3):
+        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="length 3"):
+                lk.evaluate_drift_dual(rational3, bad)
+
 
 class TestCompiledDrift:
     """evaluate_drift and evaluate_drift_dual run each system's compiled

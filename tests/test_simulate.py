@@ -9,10 +9,13 @@ import pytest
 import lumpkit as lk
 from lumpkit.errors import (
     DimensionMismatchError,
+    EvaluationError,
     IntegrationError,
     PseudoinverseError,
     SamplingError,
 )
+
+from conftest import BIG_POWER
 
 REFERENCE_RAW_L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
 REFERENCE_LBAR = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.4]])
@@ -22,6 +25,27 @@ REFERENCE_LBAR = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.4]])
 PLAIN_ENDPOINT = np.array(
     [2.516815399284407, 4.260970818887071, -1.725634568522338]
 )
+
+
+def per_point_lipschitz(system, domain, n_samples):
+    """Test-only oracle: the Lipschitz estimate with one draw and one dual
+    evaluation per point."""
+    rng = np.random.Generator(np.random.PCG64(domain.seed))
+    limit = domain.max_resamples if domain.max_resamples is not None else 100 * system.dim
+    worst, collected, failures = 0.0, 0, 0
+    while collected < n_samples:
+        x = rng.uniform(domain.lower, domain.upper)
+        try:
+            _, J = lk.evaluate_drift_dual(system, x)
+        except EvaluationError:
+            failures += 1
+            if failures > limit:
+                raise SamplingError("too many singular points") from None
+            continue
+        failures = 0
+        collected += 1
+        worst = max(worst, float(np.linalg.norm(J, 2)))
+    return 1.1 * worst
 
 
 def rk4(drift, x0, horizon, steps):
@@ -306,6 +330,44 @@ class TestEstimateLipschitz:
         ]
         expected = 1.1 * max(np.linalg.norm(J, 2) for J in jacobians)
         assert lk.estimate_lipschitz(rational3, domain, n) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_matches_point_by_point(self, rational3, rational3_perturbed, poly4, seed):
+        for system in (rational3, rational3_perturbed, poly4):
+            domain = lk.default_domain(system, seed=seed)
+            expected = per_point_lipschitz(system, domain, 64)
+            assert lk.estimate_lipschitz(system, domain) == expected
+
+    def test_singular_points_and_runs_across_blocks(self):
+        # a^400 or its derivative overflows above a ~ 5.84: about 70% of the
+        # box is singular, so skipped points are replaced by further blocks
+        # and singular runs span them
+        system = lk.parse_model(BIG_POWER)
+        outcomes = set()
+        for limit in (2, 3, 4, 5, 6, None):
+            for seed in range(6):
+                domain = lk.SamplingDomain(
+                    lower=[0.0, 0.0], upper=[20.0, 1.0], seed=seed, max_resamples=limit
+                )
+                try:
+                    expected = per_point_lipschitz(system, domain, 8)
+                except SamplingError:
+                    expected = "SamplingError"
+                try:
+                    got = lk.estimate_lipschitz(system, domain, 8)
+                except SamplingError:
+                    got = "SamplingError"
+                assert got == expected
+                outcomes.add(got == "SamplingError")
+        assert outcomes == {True, False}
+
+    def test_overflowing_power_derivative_is_singular(self):
+        # every point of the box overflows 400 a^399, which used to give inf
+        # and nan Jacobians and a LinAlgError from the spectral norm
+        system = lk.parse_model(BIG_POWER)
+        domain = lk.SamplingDomain(lower=[5.84, 0.0], upper=[5.89, 1.0])
+        with pytest.raises(SamplingError):
+            lk.estimate_lipschitz(system, domain)
 
     def test_everywhere_singular_model(self):
         system = lk.parse_model(
