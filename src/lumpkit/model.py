@@ -2,9 +2,9 @@
 
 A model is a system x' = f(x) together with one or more initial conditions,
 a linear observable matrix M, and a time horizon. Drift components are stored
-as expression trees. On first use each system compiles its drift to
-straight-line Python, one function per component, that applies the same
-operators in the same order as :meth:`Expression.evaluate`; the same code
+as expression trees. On first use each system compiles its drift to one
+straight-line Python function that returns all m components and applies the
+same operators in the same order as :meth:`Expression.evaluate`; the same code
 evaluates plain floats and dual numbers, bit for bit as the tree walk does,
 so Jacobians come out of forward-mode differentiation exactly (up to float
 roundoff) instead of finite differencing. :func:`evaluate_drift_dual` also
@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -280,24 +280,32 @@ def _straight_line(expr: Expression, body: list[str], constants: list) -> str:
     return f"t{len(body) - 1}"
 
 
-def _compile_drift(name: str, drift: Sequence[Expression]) -> tuple:
-    """One function ``f_i(v)`` per drift component, defined by a single
-    ``exec``. ``f_i(v)`` applies the operators of ``drift[i]`` in the order
-    of ``drift[i].evaluate(v)``, so the results agree bit for bit, on floats
-    and on :class:`DualVector` alike, and so do the errors raised."""
+def _compile_drift(name: str, drift: Sequence[Expression]) -> Callable:
+    """One function ``f(v)``, defined by a single ``exec``, that returns the
+    list of all drift components. It applies the operators of each
+    ``drift[i]`` in turn, in the order of ``drift[i].evaluate(v)``, so the
+    results agree bit for bit, on floats and on :class:`DualVector` alike,
+    and so do the errors raised. A ``ZeroDivisionError`` or ``OverflowError``
+    leaves ``f`` with the failing index i as its ``component`` attribute."""
     constants: list = []
-    lines = []
+    lines = ["def f(v):", "    try:"]
     for i, expr in enumerate(drift):
+        # each component numbers its temporaries from t0 again, so the next
+        # one rebinds and frees them, as returning from a function would
         body: list[str] = []
         result = _straight_line(expr, body, constants)
-        lines.append(f"def f{i}(v):")
-        lines.extend(f"    {statement}" for statement in body)
-        lines.append(f"    return {result}")
+        lines.append(f"        i = {i}")
+        lines.extend(f"        {statement}" for statement in body)
+        lines.append(f"        r{i} = {result}")
+    lines.append(f"        return [{', '.join(f'r{i}' for i in range(len(drift)))}]")
+    lines.append("    except (ZeroDivisionError, OverflowError) as exc:")
+    lines.append("        exc.component = i")
+    lines.append("        raise")
     namespace = {"c": tuple(constants)}
     exec(compile("\n".join(lines), f"<drift of {name}>", "exec"), namespace)
-    # popped, so that the functions and their globals form no reference
-    # cycle and are freed with the system instead of by the cycle collector
-    return tuple(namespace.pop(f"f{i}") for i in range(len(drift)))
+    # popped, so that the function and its globals form no reference cycle
+    # and are freed with the system instead of by the cycle collector
+    return namespace.pop("f")
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +320,8 @@ class OdeSystem:
     value per variable, a positive finite horizon, and an observable matrix
     with 1 <= p < m whose numerical rank equals its row count.
 
-    The drift is compiled on first evaluation and cached on the instance;
-    the compiled functions are not part of equality, repr or pickled state.
+    The drift is compiled to one function on first evaluation and cached on
+    the instance; it is not part of equality, repr or pickled state.
     """
 
     name: str
@@ -371,13 +379,13 @@ class OdeSystem:
         return len(self.var_names)
 
     @cached_property
-    def _drift_functions(self) -> tuple:
+    def _drift_function(self) -> Callable:
         return _compile_drift(self.name, self.drift)
 
     def __getstate__(self):
-        # compiled functions do not pickle; the copy compiles its own
+        # the compiled function does not pickle; the copy compiles its own
         state = self.__dict__.copy()
-        state.pop("_drift_functions", None)
+        state.pop("_drift_function", None)
         return state
 
     def to_text(self) -> str:
@@ -400,27 +408,24 @@ class OdeSystem:
 
 
 def _evaluate_components(system: OdeSystem, x: np.ndarray, lift) -> list:
-    """Evaluate every compiled drift component on ``lift(x)``. A zero
-    denominator or an overflowing power raises
+    """Evaluate all drift components on ``lift(x)`` with one call of the
+    compiled drift. A zero denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component and x; for
     an ``(N, m)`` block x, the points are then evaluated one at a time, so the
     error names the first singular point as a one-point call would."""
     values = lift(x)
-    results = []
-    for i, component in enumerate(system._drift_functions):
-        try:
-            results.append(component(values))
-        except (ZeroDivisionError, OverflowError) as exc:
-            if x.ndim == 2:
-                for point in x:
-                    _evaluate_components(system, point, lift)
-            cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
-            raise EvaluationError(
-                f"{cause} evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
-                component=i,
-                point=x.copy(),
-            ) from exc
-    return results
+    try:
+        return system._drift_function(values)
+    except (ZeroDivisionError, OverflowError) as exc:
+        if x.ndim == 2:
+            for point in x:
+                _evaluate_components(system, point, lift)
+        cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
+        raise EvaluationError(
+            f"{cause} evaluating d{system.var_names[exc.component]}/dt at x={x.tolist()}",
+            component=exc.component,
+            point=x.copy(),
+        ) from exc
 
 
 def _duals(x: np.ndarray) -> list:

@@ -3,7 +3,8 @@
 The integrator is an embedded Dormand-Prince 5(4) pair with proportional
 step control and the pair's quartic dense-output interpolant. It is explicit
 on purpose: stiffness is reported (step underflow after repeated
-rejections), not worked around.
+rejections), not worked around. The step loop keeps times in Python floats
+and never writes a state in place, so states and segments share its arrays.
 
 :func:`reduction_report` integrates the full and the reduced system side by
 side on a shared output grid and summarizes the observable error, the drift
@@ -56,7 +57,7 @@ _A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 # difference between the 5th and the embedded 4th order weights
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -77,6 +78,8 @@ _P = np.array(
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+# a step no longer than this times max(|t|, 1) (16 ulps of 1) underflows
+_MIN_RELATIVE_STEP = 16 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,13 @@ class Trajectory:
         return self.segments[k].interpolate(t)
 
     def sample(self, times) -> np.ndarray:
-        return np.vstack([self.at(float(t)) for t in times])
+        """Dense-output states at ``times``, one row each: ``(len(times), dim)``."""
+        return np.array([self.at(float(t)) for t in times]).reshape(-1, self.dim)
+
+
+def _rms(q: np.ndarray) -> float:
+    """Root mean square of q, with the bits of ``np.sqrt(np.mean(q**2))``."""
+    return math.sqrt(float(np.add.reduce(q * q)) / q.size)
 
 
 def _call_drift(drift, y: np.ndarray, t: float) -> np.ndarray:
@@ -209,7 +218,7 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
     h = min(h, cfg.max_step, horizon)
 
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     segments: list[_Segment] = []
     stages = np.empty((7, n))
     attempts = 0
@@ -224,7 +233,7 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
         final_step = h >= horizon - t
         if final_step:
             h = horizon - t
-        if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h <= _MIN_RELATIVE_STEP * max(abs(t), 1.0):
             raise IntegrationError(
                 f"step size underflow at t={t!r} after {rejected_streak} rejections; "
                 "the system looks stiff for an explicit solver",
@@ -241,15 +250,15 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
 
         err_vec = h * (stages.T @ _E)
         scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = _rms(err_vec / scale)
 
         if err <= 1.0:
-            segments.append(_Segment(t, h, y.copy(), stages.copy()))
+            segments.append(_Segment(t, h, y, stages.copy()))
             t = horizon if final_step else t + h
             y = y_new
             f_cur = stages[6].copy()
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
             if rejected_streak > 0:
                 factor = min(factor, 1.0)

@@ -497,6 +497,27 @@ class TestCompiledDrift:
             np.testing.assert_array_equal(exc_info.value.point, x)
             assert type(exc_info.value.__cause__) is error
 
+    def test_component_index_after_components_without_statements(self):
+        # da/dt and db/dt compile to no statement (a variable, a constant),
+        # so the component index must come from the fused function itself
+        system = lk.parse_model(
+            "model skip\nvar a, b, c\neq a = b\neq b = 2\neq c = 1/(a - 1)\n"
+            "init a = 0\ninit b = 0\ninit c = 0\nobs a\nhorizon 1\n"
+        )
+        x = np.array([1.0, 0.5, -2.0])
+        block = np.array([[0.0, 1.0, 1.0], x, [1.0, 3.0, 3.0]])
+        for evaluate, argument in (
+            (lk.evaluate_drift, x),
+            (lk.evaluate_drift_dual, x),
+            (lk.evaluate_drift_dual, block),
+        ):
+            with pytest.raises(EvaluationError) as exc_info:
+                evaluate(system, argument)
+            assert exc_info.value.component == 2
+            np.testing.assert_array_equal(exc_info.value.point, x)
+            assert str(exc_info.value) == "zero denominator evaluating dc/dt at x=[1.0, 0.5, -2.0]"
+            assert type(exc_info.value.__cause__) is ZeroDivisionError
+
     def test_pickle_round_trip(self, rational3_perturbed):
         x = np.array([0.73, 1.21, 0.4])
         f = lk.evaluate_drift(rational3_perturbed, x)  # compiles before pickling

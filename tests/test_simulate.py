@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lumpkit as lk
 from lumpkit.errors import (
@@ -14,6 +15,7 @@ from lumpkit.errors import (
     PseudoinverseError,
     SamplingError,
 )
+from lumpkit.simulate import _A, _E, _call_drift, _initial_step, _rms
 
 from conftest import BIG_POWER
 
@@ -59,6 +61,70 @@ def rk4(drift, x0, horizon, steps):
         k4 = drift(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+def reference_integrate(drift, x0, horizon, cfg):
+    """Test-only oracle: the Dormand-Prince step loop as it stood before its
+    bookkeeping was trimmed (numpy stage times, np.mean error norm, copies of
+    every state). Returns times, states and (t0, h, y0, stages) per step."""
+    c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+    y = np.asarray(x0, dtype=float).copy()
+    n = y.size
+    t = 0.0
+    f_cur = _call_drift(drift, y, t)
+    h = cfg.initial_step if cfg.initial_step is not None else _initial_step(drift, y, f_cur, horizon, cfg)
+    h = min(h, cfg.max_step, horizon)
+    times, states, segments = [0.0], [y.copy()], []
+    stages = np.empty((7, n))
+    rejected_streak = 0
+    while t < horizon:
+        final_step = h >= horizon - t
+        if final_step:
+            h = horizon - t
+        if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+            raise IntegrationError("step size underflow", time_reached=t)
+        stages[0] = f_cur
+        for s in range(1, 7):
+            y_stage = y + h * (stages[:s].T @ _A[s])
+            stages[s] = _call_drift(drift, y_stage, t + c[s] * h)
+        y_new = y + h * (stages[:6].T @ _A[6])
+        stages[6] = _call_drift(drift, y_new, t + h)
+        err_vec = h * (stages.T @ _E)
+        scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if err <= 1.0:
+            segments.append((t, h, y.copy(), stages.copy()))
+            t = horizon if final_step else t + h
+            y = y_new
+            f_cur = stages[6].copy()
+            times.append(t)
+            states.append(y.copy())
+            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
+            if rejected_streak > 0:
+                factor = min(factor, 1.0)
+            rejected_streak = 0
+        else:
+            factor = max(0.2, 0.9 * err**-0.2)
+            rejected_streak += 1
+        h = min(h * factor, cfg.max_step)
+    return np.array(times), np.vstack(states), segments
+
+
+def oscillator_chain(seed: int, m: int = 10) -> lk.OdeSystem:
+    """m/2 weakly damped rotations, each pair coupled to random states
+    through terms whose denominators 1 + x^2 never vanish."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    xs = [f"x{k}" for k in range(m)]
+    lines = [f"model chain{seed}", "var " + ", ".join(xs)]
+    for u, v in zip(xs[::2], xs[1::2]):
+        w = float(rng.uniform(0.5, 1.5))
+        a, b = (xs[int(k)] for k in rng.integers(0, m, 2))
+        g = float(rng.uniform(-0.3, 0.3))
+        lines.append(f"eq {u} = -0.05*{u} + {w!r}*{v} + {g!r}*{a}*{b}/(1 + {b}^2)")
+        lines.append(f"eq {v} = {-w!r}*{u} - 0.05*{v} + {g!r}*{b}/(1 + {a}^2)")
+    lines += [f"init {x} = {float(rng.uniform(-1.0, 1.0))!r}" for x in xs]
+    lines += ["obs x0", "horizon 10"]
+    return lk.parse_model("\n".join(lines) + "\n")
 
 
 class TestIntegrate:
@@ -132,6 +198,12 @@ class TestIntegrate:
         for k, t in enumerate(ts):
             np.testing.assert_array_equal(sampled[k], traj.at(float(t)))
 
+    def test_sample_of_no_times_is_empty(self):
+        traj = lk.integrate(lambda y: -y, np.array([1.0, 2.0]), 1.0)
+        for times in ([], np.array([])):
+            sampled = traj.sample(times)
+            assert sampled.shape == (0, 2) and sampled.dtype == float
+
     def test_finite_time_blowup_reports_stiffness(self):
         with pytest.raises(IntegrationError, match="stiff") as exc_info:
             lk.integrate(lambda y: y**2, np.array([1.0]), 1.2)
@@ -165,6 +237,24 @@ class TestIntegrate:
                 1.0,
             )
 
+    def test_stage_failure_reports_a_python_float_time(self):
+        # calls 1 and 2 are f(x0) and the initial step probe; call 4 is the
+        # second stage of the first step, at t = 3/10 h
+        calls = []
+
+        def drift(y):
+            calls.append(y)
+            if len(calls) == 4:
+                raise EvaluationError("singular", component=0, point=y)
+            return -y
+
+        with pytest.raises(IntegrationError) as exc_info:
+            lk.integrate(drift, np.array([1.0, 2.0]), 1.0)
+        time_reached = exc_info.value.time_reached
+        assert type(time_reached) is float and 0.0 < time_reached < 1.0
+        assert "np.float64" not in str(exc_info.value)
+        assert str(exc_info.value).startswith(f"drift evaluation failed at t={time_reached!r}, ")
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             lk.integrate(lambda y: -y, np.array([1.0]), 0.0)
@@ -197,6 +287,49 @@ class TestIntegrate:
         ):
             with pytest.raises(ValueError):
                 lk.SolverConfig(**kwargs)
+
+
+class TestStepLoopParity:
+    """integrate matches the untrimmed step loop of reference_integrate bit
+    for bit: every time, state and dense-output segment."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_models(self, rel_tol, rational3, rational3_perturbed, poly4, random_corpus):
+        systems = [rational3, rational3_perturbed, poly4, oscillator_chain(0), oscillator_chain(1)]
+        systems += [system for system, _, _ in random_corpus]
+        config = lk.SolverConfig(rel_tol=rel_tol, abs_tol=1e-12)
+        underflows = 0
+        for system in systems:
+            drift = lambda x: lk.evaluate_drift(system, x)
+            x0, horizon = system.initial_conditions[0], system.time_horizon
+            try:
+                times, states, segments = reference_integrate(drift, x0, horizon, config)
+            except IntegrationError as exc:
+                # a random polynomial system that blows up before the horizon
+                with pytest.raises(IntegrationError, match="underflow") as exc_info:
+                    lk.integrate(drift, x0, horizon, config)
+                assert exc_info.value.time_reached == exc.time_reached
+                underflows += 1
+                continue
+            traj = lk.integrate(drift, x0, horizon, config)
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.states.tobytes() == states.tobytes()
+            assert len(traj.segments) == len(segments)
+            for segment, (t0, h, y0, stages) in zip(traj.segments, segments):
+                assert (segment.t0, segment.h) == (t0, h)
+                assert type(segment.t0) is float and type(segment.h) is float
+                assert segment.y0.tobytes() == y0.tobytes()
+                assert segment.stages.tobytes() == stages.tobytes()
+        assert underflows < len(systems) // 4
+
+    @given(
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64),
+        st.sampled_from([1e-150, 1e-5, 1.0, 1e5, 1e150]),
+    )
+    def test_error_norm_matches_numpy_mean(self, values, scale):
+        q = np.array(values) * scale
+        expected = np.sqrt(np.mean(q**2))
+        assert np.float64(_rms(q)).tobytes() == expected.tobytes()
 
 
 class TestReducedDrift:
