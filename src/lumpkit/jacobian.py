@@ -19,6 +19,7 @@ seed reproduces the same basis on any platform.
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -235,6 +236,22 @@ def basis_from_points(system: OdeSystem, points) -> JacobianBasis:
     return _build_basis(system.dim, candidates())
 
 
+def _regular_jacobians(evaluate, system: OdeSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J at each row of the block X, and the mask of the rows whose drift
+    evaluates without error to a finite f and J. A block that raises is
+    evaluated again one point at a time. ``evaluate`` is
+    :func:`~lumpkit.model.evaluate_drift_dual` as the calling module names
+    it, so that whatever wraps or replaces that name there sees each call."""
+    try:
+        f, jacobians = evaluate(system, X)
+    except EvaluationError:
+        f, jacobians = np.full(X.shape, np.nan), np.full(X.shape + X.shape[-1:], np.nan)
+        for i, x in enumerate(X):
+            with contextlib.suppress(EvaluationError):  # the row stays NaN
+                f[i], jacobians[i] = evaluate(system, x)
+    return jacobians, np.isfinite(f).all(axis=1) & np.isfinite(jacobians).all(axis=(1, 2))
+
+
 def sample_jacobian_basis(
     system: OdeSystem, domain: SamplingDomain, initial_points=()
 ) -> JacobianBasis:
@@ -243,8 +260,9 @@ def sample_jacobian_basis(
     collected so far (or the span reaches its m^2 cap).
 
     ``initial_points`` are consumed before any random draw and go through the
-    same independence test. Points where the drift is singular are skipped;
-    more than ``max_resamples`` consecutive failures abort.
+    same independence test. Points where the drift is singular, or where f
+    or J has a non-finite entry, are skipped; more than ``max_resamples``
+    consecutive failures abort.
 
     Points are evaluated in blocks of up to m (fewer near the m^2 cap), and
     a block with a singular point again one point at a time; the basis, the
@@ -269,23 +287,16 @@ def sample_jacobian_basis(
                 X = np.array([queue.popleft() for _ in range(min(size, len(queue)))])
             else:
                 X = rng.uniform(domain.lower, domain.upper, size=(size, m))
-            try:
-                _, jacobians = evaluate_drift_dual(system, X)
-            except EvaluationError:
-                # a singular point: evaluate the block again one point at a time
-                jacobians = [None] * len(X)
-            for x, J in zip(X, jacobians):
-                if J is None:
-                    try:
-                        _, J = evaluate_drift_dual(system, x)
-                    except EvaluationError:
-                        failures += 1
-                        if failures > limit:
-                            raise SamplingError(
-                                f"{failures} consecutive singular samples; "
-                                "shrink or move the domain"
-                            ) from None
-                        continue
+            jacobians, regular = _regular_jacobians(evaluate_drift_dual, system, X)
+            for x, J, ok in zip(X, jacobians, regular.tolist()):
+                if not ok:
+                    failures += 1
+                    if failures > limit:
+                        raise SamplingError(
+                            f"{failures} consecutive singular samples; "
+                            "shrink or move the domain"
+                        )
+                    continue
                 failures = 0
                 yielded += 1
                 yield J, x

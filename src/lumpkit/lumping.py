@@ -12,7 +12,8 @@ out of the current row space by more than epsilon, checking each row
 against all basis matrices in one batch. :func:`epsilon_max` gives
 the smallest tolerance that collapses the result back to the observables
 alone, and :func:`find_epsilon` bisects between the two extremes to hit a
-target size.
+target size. :func:`deviation` measures how far a lumping is from exact,
+at one point or at a block of points in one drift call.
 """
 
 from __future__ import annotations
@@ -280,16 +281,24 @@ def approximate_lump(
     )
 
 
-def deviation(system: OdeSystem, lump: LumpingMatrix, x) -> float:
+def deviation(system: OdeSystem, lump: LumpingMatrix, x) -> float | np.ndarray:
     """How far the drift is from commuting with the reduction at x:
-    ||L f(L.T L x) - L f(x)||_2. Zero everywhere means an exact lumping."""
+    ||L f(L.T L x) - L f(x)||_2. Zero everywhere means an exact lumping.
+
+    ``x`` may also be an ``(N, m)`` block, one point per row, for an ``(N,)``
+    result. The drift runs once, on the points interleaved with their
+    projections, so a singular one raises the error a loop over the points
+    meets first; stacked products keep the bits of one point at a time."""
     x = np.asarray(x, dtype=float)
     if lump.state_dim != system.dim:
         raise DimensionMismatchError("lumping matrix does not match the system")
     L = lump.matrix
-    f_at_x = evaluate_drift(system, x)
-    f_at_proj = evaluate_drift(system, lump.project(x))
-    return float(np.linalg.norm(L @ f_at_proj - L @ f_at_x))
+    points = x.reshape(-1, x.shape[-1], 1)  # a point is a block of one
+    pairs = np.stack([points, lump.project(points)], axis=1)
+    f = evaluate_drift(system, pairs.reshape(-1, system.dim)).reshape(pairs.shape)
+    d = L @ f[:, 1] - L @ f[:, 0]
+    norms = np.sqrt(d.transpose(0, 2, 1) @ d).reshape(-1)
+    return norms if x.ndim == 2 else float(norms[0])
 
 
 def epsilon_max(basis: JacobianBasis, observables) -> float:

@@ -7,10 +7,10 @@ straight-line Python function that returns all m components and applies the
 same operators in the same order as :meth:`Expression.evaluate`; the same code
 evaluates plain floats and dual numbers, bit for bit as the tree walk does,
 so Jacobians come out of forward-mode differentiation exactly (up to float
-roundoff) instead of finite differencing. :func:`evaluate_drift_dual` also
-takes an ``(N, m)`` block of points and runs the compiled code once on duals
-whose values are ``(N,)`` arrays; every f and J it returns has the bits of a
-one-point evaluation.
+roundoff) instead of finite differencing. Both evaluations also take an
+``(N, m)`` block of points and run the compiled code once, on value columns
+or on duals whose values are ``(N,)`` arrays; every f and J they return has
+the bits of a one-point evaluation.
 
 Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`.
@@ -48,7 +48,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dual numbers
+# dual numbers and value columns
 
 
 def _has_zero(value) -> bool:
@@ -139,6 +139,27 @@ class DualVector:
             # as ** raises for the value, instead of inf and nan partials
             raise OverflowError("derivative of an integer power overflows")
         return DualVector(power, slope * self.partials)
+
+
+class _Column(np.ndarray):
+    """The values of one variable at the N points of a block. ``/`` checks
+    for a zero divisor and ``**`` runs Python's float power per element, so
+    each point gets the bits and the errors of a one-point evaluation."""
+
+    def __truediv__(self, other):
+        if _has_zero(other):
+            raise ZeroDivisionError("division by zero")
+        return np.true_divide(self, other)
+
+    def __rtruediv__(self, other):
+        if _has_zero(self):
+            raise ZeroDivisionError("division by zero")
+        return np.true_divide(other, self)
+
+    def __pow__(self, exponent):
+        # np.power may differ from Python's ** in the last bit
+        powers = map(pow, self.tolist(), [exponent] * len(self))
+        return np.fromiter(powers, float, len(self)).view(_Column)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +449,11 @@ def _evaluate_components(system: OdeSystem, x: np.ndarray, lift) -> list:
         ) from exc
 
 
+def _columns(x: np.ndarray) -> list:
+    # a point is lifted to floats; the variables of a block are its columns
+    return x.tolist() if x.ndim == 1 else list(x.T.copy().view(_Column))
+
+
 def _duals(x: np.ndarray) -> list:
     # variable j carries the j-th unit vector as its partials; the variables
     # of an (N, m) block are its columns, with (m, N) partials
@@ -438,16 +464,34 @@ def _duals(x: np.ndarray) -> list:
     return [DualVector(column, seed) for column, seed in zip(x.T.copy(), seeds)]
 
 
+def _points(system: OdeSystem, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != system.dim:
+        raise ValueError(
+            f"expected a vector of length {system.dim} or an (N, {system.dim}) block, "
+            f"got shape {x.shape}"
+        )
+    return x
+
+
 def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
     """Evaluate f(x) with the system's compiled straight-line drift, which
     gives the same bits as ``[e.evaluate(x.tolist()) for e in
     system.drift]``. Pure and deterministic: identical inputs give
     bit-identical outputs. A zero denominator or an overflowing power raises
-    :class:`~lumpkit.errors.EvaluationError` naming the component."""
+    :class:`~lumpkit.errors.EvaluationError` naming the component.
+
+    ``x`` may also be an ``(N, m)`` block, one point per row, for an
+    ``(N, m)`` f; the compiled drift runs once, on the block's columns, with
+    the bits and the errors of one call per point."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim,):
-        raise ValueError(f"expected a vector of length {system.dim}, got shape {x.shape}")
-    return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
+    if x.shape == (system.dim,):  # one point, as the step loop of integrate calls it
+        return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
+    x = _points(system, x)
+    with np.errstate(all="ignore"):  # inf and nan arise silently, as for floats
+        columns = _evaluate_components(system, x, _columns)
+    # a constant component broadcasts
+    return np.column_stack([np.broadcast_to(column, len(x)) for column in columns])
 
 
 def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
@@ -460,11 +504,7 @@ def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
     A singular point anywhere in the block raises the
     :class:`~lumpkit.errors.EvaluationError` of the first such point."""
     m = system.dim
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != m:
-        raise ValueError(
-            f"expected a vector of length {m} or an (N, {m}) block, got shape {x.shape}"
-        )
+    x = _points(system, x)
     f = np.empty(x.shape)
     jac = np.zeros(x.shape + (m,))
     for i, result in enumerate(_evaluate_components(system, x, _duals)):

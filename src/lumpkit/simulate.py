@@ -9,9 +9,12 @@ and never writes a state in place, so states and segments share its arrays.
 :func:`reduction_report` integrates the full and the reduced system side by
 side on a shared output grid and summarizes the observable error, the drift
 deviation along the trajectory, and an a-priori error bound built from an
-estimated Lipschitz constant. :func:`estimate_lipschitz` evaluates its sample
-Jacobians as one block of dual numbers, with the bits of one evaluation per
-point.
+estimated Lipschitz constant. The grid is evaluated in blocks, with the bits
+of one evaluation per point: :meth:`Trajectory.sample` interpolates all grid
+times at once, :func:`~lumpkit.lumping.deviation` takes all grid points in
+one drift call, and :func:`estimate_lipschitz` evaluates its sample
+Jacobians as one block of dual numbers and takes their spectral norms in one
+stacked call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     PseudoinverseError,
     SamplingError,
 )
-from .jacobian import SamplingDomain
+from .jacobian import SamplingDomain, _regular_jacobians
 from .lumping import LumpingMatrix, deviation
 from .model import OdeSystem, evaluate_drift, evaluate_drift_dual
 
@@ -113,11 +116,6 @@ class _Segment:
     y0: np.ndarray
     stages: np.ndarray  # 7 x n
 
-    def interpolate(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = theta ** np.arange(1, 5)
-        return self.y0 + self.h * (self.stages.T @ (_P @ powers))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -141,18 +139,31 @@ class Trajectory:
 
     def at(self, t: float) -> np.ndarray:
         """Dense-output state at any time in [0, horizon]."""
-        if not (0.0 <= t <= self.horizon):
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        if k >= len(self.segments):
-            return self.states[-1].copy()
-        if t == self.times[k]:
-            return self.states[k].copy()
-        return self.segments[k].interpolate(t)
+        return self.sample([t])[0]
 
     def sample(self, times) -> np.ndarray:
-        """Dense-output states at ``times``, one row each: ``(len(times), dim)``."""
-        return np.array([self.at(float(t)) for t in times]).reshape(-1, self.dim)
+        """Dense-output states at ``times``, one row each: ``(len(times), dim)``.
+
+        Times may be unsorted and repeat. One on a step boundary, the horizon
+        among them, gives the stored state; the others evaluate their step's
+        quartic interpolant all at once, by stacked products with the bits of
+        one product per time. Times outside [0, horizon] or NaN raise
+        ``ValueError``."""
+        ts = np.asarray(times, dtype=float).reshape(-1)
+        outside = ~((0.0 <= ts) & (ts <= self.horizon))
+        if outside.any():
+            raise ValueError(f"time {float(ts[outside][0])} outside [0, {self.horizon}]")
+        k = np.searchsorted(self.times, ts, side="right") - 1
+        X = self.states[k]
+        inner = np.flatnonzero(ts != self.times[k])
+        if inner.size:
+            segments = [self.segments[j] for j in k[inner].tolist()]
+            t0, h = np.array([(s.t0, s.h) for s in segments]).T
+            powers = ((ts[inner] - t0) / h)[:, None] ** np.arange(1, 5)
+            stages = np.array([s.stages for s in segments]).transpose(0, 2, 1)
+            y0 = np.array([s.y0 for s in segments])
+            X[inner] = y0 + h[:, None] * (stages @ (_P @ powers[..., None]))[..., 0]
+        return X
 
 
 def _rms(q: np.ndarray) -> float:
@@ -331,10 +342,12 @@ def estimate_lipschitz(
     largest spectral norm ``np.linalg.norm(J(x), 2)`` at random sample points,
     times a 1.1 safety factor. The points are the PCG64 ``uniform(lower,
     upper)`` stream for ``domain.seed``, the stream Jacobian sampling draws.
-    They are drawn and evaluated as one ``(n_samples, m)`` block, which gives
-    the bits of one draw and one evaluation per point. Singular points are
-    skipped and replaced by a further block; more than ``max_resamples`` of
-    them in a row raise :class:`~lumpkit.errors.SamplingError`."""
+    They are drawn and evaluated as one ``(n_samples, m)`` block, whose
+    spectral norms are taken in one stacked call; this gives the bits of one
+    draw, one evaluation and one norm per point. Singular points, and points
+    where f or J has a non-finite entry, are skipped and replaced by a further
+    block; more than ``max_resamples`` of them in a row raise
+    :class:`~lumpkit.errors.SamplingError`."""
     if domain.dim != system.dim:
         raise DimensionMismatchError("domain dimension does not match the system")
     if n_samples < 1:
@@ -346,26 +359,16 @@ def estimate_lipschitz(
     failures = 0
     while collected < n_samples:
         X = rng.uniform(domain.lower, domain.upper, size=(n_samples - collected, system.dim))
-        try:
-            _, jacobians = evaluate_drift_dual(system, X)
-        except EvaluationError:
-            # a singular point: evaluate the block again one point at a time
-            jacobians = [None] * len(X)
-        for x, J in zip(X, jacobians):
-            if J is None:
-                try:
-                    _, J = evaluate_drift_dual(system, x)
-                except EvaluationError:
-                    failures += 1
-                    if failures > limit:
-                        raise SamplingError(
-                            "could not find enough non-singular points for the "
-                            "Lipschitz estimate"
-                        ) from None
-                    continue
-            failures = 0
-            collected += 1
-            worst = max(worst, float(np.linalg.norm(J, 2)))
+        jacobians, regular = _regular_jacobians(evaluate_drift_dual, system, X)
+        for ok in regular.tolist():
+            failures = 0 if ok else failures + 1
+            if failures > limit:
+                raise SamplingError(
+                    "could not find enough non-singular points for the Lipschitz estimate"
+                )
+        collected += int(regular.sum())
+        norms = np.linalg.norm(jacobians[regular], 2, axis=(1, 2))
+        worst = float(np.max(norms, initial=worst))
     return 1.1 * worst
 
 
@@ -439,7 +442,7 @@ def reduction_report(
     X = full.sample(ts)
     Y = reduced.sample(ts)
     errors = np.linalg.norm(Y - X @ L.T, axis=1)
-    deviations = np.array([deviation(system, lump, x) for x in X])
+    deviations = deviation(system, lump, X)
 
     eta = float(np.max(deviations))
     e_at_T = float(errors[-1])

@@ -54,6 +54,13 @@ BIG_POWER = (
     "init a = 10\ninit b = 1\nobs b\nhorizon 1\n"
 )
 
+# 1e300*a*a overflows to inf above a ~ 1.34e4, and its derivative above
+# a ~ 1.8e8, where inf times a zero partial puts a nan into J.
+NON_FINITE = (
+    "model nonfinite\nvar a, b\neq a = 1e300*a*a\neq b = a\n"
+    "init a = 1\ninit b = 1\nobs b\nhorizon 1\n"
+)
+
 
 def model_path(name: str) -> Path:
     return MODELS_DIR / name

@@ -10,7 +10,7 @@ import lumpkit as lk
 from lumpkit.errors import DimensionMismatchError, EvaluationError, SamplingError
 from lumpkit.jacobian import _build_basis
 
-from conftest import BIG_POWER, CANONICAL_POINTS, GOLDEN_J_PLAIN
+from conftest import BIG_POWER, CANONICAL_POINTS, GOLDEN_J_PLAIN, NON_FINITE
 
 
 def per_point_basis(system, domain, initial_points=()):
@@ -191,6 +191,26 @@ class TestSampling:
         domain = lk.SamplingDomain(lower=[5.84, 0.0], upper=[5.89, 1.0])
         with pytest.raises(SamplingError):
             lk.sample_jacobian_basis(system, domain)
+
+    def test_non_finite_samples_are_singular(self):
+        # J = [[inf, nan], [1, 0]] on the whole box: every point is skipped,
+        # where the nan rank test used to count it as dependent and return a
+        # basis of dimension 0
+        system = lk.parse_model(NON_FINITE)
+        domain = lk.SamplingDomain(lower=[1e10, 0.0], upper=[2e10, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SamplingError):
+            lk.sample_jacobian_basis(system, domain)
+
+    def test_non_finite_samples_are_skipped(self):
+        # at a = 2e4, f = 4e308 overflows to inf while J is still finite:
+        # the point is skipped, and the next one enters the basis
+        system = lk.parse_model(NON_FINITE)
+        domain = lk.SamplingDomain(lower=[0.0, 0.0], upper=[2e4, 1.0])
+        with np.errstate(over="ignore"):
+            f, J = lk.evaluate_drift_dual(system, np.array([2e4, 0.5]))
+            assert f[0] == np.inf and np.isfinite(J).all()
+            basis = lk.sample_jacobian_basis(system, domain, [[2e4, 0.5], [1.0, 0.5]])
+        np.testing.assert_array_equal(basis.sample_points[0], [1.0, 0.5])
 
 
 class TestBlockSampling:

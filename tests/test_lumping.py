@@ -9,6 +9,7 @@ import lumpkit as lk
 from lumpkit.errors import (
     ConvergenceError,
     DimensionMismatchError,
+    EvaluationError,
     MonotonicityError,
     RankDeficiencyError,
 )
@@ -178,7 +179,58 @@ class TestExactLumping:
             lk.approximate_lump(worked_basis, OBS_X1, np.nan)
 
 
+def per_point_deviation(system, lump, x):
+    """Test-only oracle: the deviation at one point, as it stood before
+    deviation took blocks."""
+    L = lump.matrix
+    f_at_x = lk.evaluate_drift(system, x)
+    f_at_proj = lk.evaluate_drift(system, L.T @ (L @ x))
+    return float(np.linalg.norm(L @ f_at_proj - L @ f_at_x))
+
+
 class TestDeviation:
+    def test_block_matches_point_by_point(self, random_corpus):
+        cases = [
+            (system, lk.approximate_lump(basis, system.observables, eps))
+            for system, basis, eps_max in random_corpus[:8]
+            for eps in (0.0, 0.3 * eps_max, eps_max)
+        ]
+        for name in ("rational3.ode", "rational3_perturbed.ode", "poly4.ode"):
+            system = lk.parse_model(model_path(name).read_text())
+            for rows in (system.observables, np.eye(system.dim)[: system.dim - 1]):
+                cases.append((system, lk.LumpingMatrix.from_rows(rows, observable_rank=1)))
+        rng = np.random.Generator(np.random.PCG64(23))
+        for system, lump in cases:
+            for size in (1, 2, 60):
+                X = rng.uniform(0.2, 1.8, (size, system.dim))
+                block = lk.deviation(system, lump, X)
+                assert block.shape == (size,) and block.dtype == float
+                expected = [per_point_deviation(system, lump, x) for x in X]
+                assert block.tobytes() == np.array(expected).tobytes()
+                for x, value in zip(X, expected):
+                    got = lk.deviation(system, lump, x)
+                    assert type(got) is float and got == value
+
+    @pytest.mark.parametrize(
+        "block, first",
+        [
+            # row 0 is regular, its projection (1, 0) is not; row 1 is not
+            ([[1.0, 2.0], [3.0, 0.0]], [1.0, 0.0]),
+            ([[3.0, 0.0], [1.0, 2.0]], [3.0, 0.0]),
+        ],
+    )
+    def test_singular_point_is_the_first_a_loop_meets(self, block, first):
+        system = lk.parse_model(
+            "model d\nvar a, b\neq a = 1/b\neq b = a\n"
+            "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
+        )
+        lump = lk.LumpingMatrix.from_rows([[1.0, 0.0]])
+        with pytest.raises(EvaluationError) as exc_info:
+            lk.deviation(system, lump, np.array(block))
+        assert exc_info.value.component == 0
+        np.testing.assert_array_equal(exc_info.value.point, first)
+        assert str(exc_info.value) == f"zero denominator evaluating da/dt at x={first}"
+
     def test_perturbed_deviation_at_ones(self, rational3_perturbed, reference_lump):
         value = lk.deviation(
             rational3_perturbed, reference_lump, np.array([1.0, 1.0, 1.0])

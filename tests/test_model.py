@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,101 @@ class TestBatchedDuals:
         for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3)), np.float64(1.0)):
             with pytest.raises(ValueError, match="length 3"):
                 lk.evaluate_drift_dual(rational3, bad)
+
+
+class TestBatchedDrift:
+    """evaluate_drift on an (N, m) block gives each row the bits of a
+    one-point call."""
+
+    @staticmethod
+    def assert_block_matches_points(system, X):
+        F = lk.evaluate_drift(system, X)
+        assert F.shape == X.shape and F.dtype == float
+        for x, f in zip(X, F):
+            assert f.tobytes() == lk.evaluate_drift(system, x).tobytes()
+
+    def test_bundled_models_and_random_corpus(
+        self, rational3, rational3_perturbed, poly4, random_corpus
+    ):
+        systems = [rational3, rational3_perturbed, poly4]
+        systems += [system for system, _, _ in random_corpus]
+        rng = np.random.Generator(np.random.PCG64(18))
+        for system in systems:
+            for size in (1, system.dim, 40):
+                self.assert_block_matches_points(
+                    system, rng.uniform(-2.0, 2.0, (size, system.dim))
+                )
+
+    def test_every_node_kind(self):
+        # negative bases under odd and even powers, a constant component
+        system = lk.parse_model(
+            "model kinds\nvar a, b, c\n"
+            "eq a = 3\neq b = c\neq c = -a + a^0 - (a*b)^3/(b^2 + 1.5)\n"
+            "init a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
+        )
+        X = np.random.Generator(np.random.PCG64(4)).uniform(-2.0, 2.0, (50, 3))
+        assert (X < 0).any(axis=0).all()
+        self.assert_block_matches_points(system, X)
+
+    def test_integer_powers_round_as_python_floats(self):
+        # np.power differs from Python's float ** in the last bit on a few
+        # percent of these values
+        names = [f"x{k}" for k in range(2, 10)]
+        system = lk.parse_model(
+            "model powers\nvar " + ", ".join(names) + "\n"
+            + "".join(f"eq {n} = {n}^{k}\n" for n, k in zip(names, range(2, 10)))
+            + "".join(f"init {n} = 1\n" for n in names)
+            + "obs x2\nhorizon 1\n"
+        )
+        X = np.random.Generator(np.random.PCG64(9)).uniform(-3.0, 3.0, (500, 8))
+        assert (np.power(X, np.arange(2, 10)) != lk.evaluate_drift(system, X)).any()
+        self.assert_block_matches_points(system, X)
+
+    def test_constant_components_broadcast(self):
+        system = lk.parse_model(two_var("eq a = 2*4\neq b = -1.5"))
+        X = np.arange(10.0).reshape(5, 2)
+        np.testing.assert_array_equal(lk.evaluate_drift(system, X), [[8.0, -1.5]] * 5)
+        self.assert_block_matches_points(system, X)
+        assert lk.evaluate_drift(system, np.empty((0, 2))).shape == (0, 2)
+
+    def test_overflow_and_nan_arise_silently_as_for_a_point(self):
+        # 1e300*a*a is inf and inf - inf is nan without an error, in Python
+        # floats and in the block alike
+        system = lk.parse_model(two_var("eq a = 1e300*a*a - 1e300*b*b\neq b = a"))
+        X = np.array([[1e10, 1e10], [1.0, 2.0], [1e10, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = lk.evaluate_drift(system, X)
+        assert np.isnan(F[0, 0]) and F[2, 0] == math.inf
+        self.assert_block_matches_points(system, X)
+
+    @pytest.mark.parametrize(
+        "body, block, first",
+        [
+            # (2, 2) is singular in db/dt only, (1, 0) in da/dt: the block
+            # fails first in da/dt, but the error is the first singular row's
+            ("eq a = b/(a - 1)\neq b = a/(b - 2)", [[0.5, 0.5], [2.0, 2.0], [1.0, 0.0]], [2.0, 2.0]),
+            ("eq a = b/(a - 1)\neq b = a/(b - 2)", [[1.0, 0.0], [2.0, 2.0]], [1.0, 0.0]),
+            ("eq a = b\neq b = a^400", [[1.0, 1.0], [10.0, 1.0], [20.0, 1.0]], [10.0, 1.0]),
+        ],
+        ids=["later_component_first", "first_row", "power_overflow"],
+    )
+    def test_error_names_the_first_singular_row(self, body, block, first):
+        system = lk.parse_model(two_var(body))
+        block, first = np.array(block), np.array(first)
+        with pytest.raises(EvaluationError) as block_error:
+            lk.evaluate_drift(system, block)
+        with pytest.raises(EvaluationError) as point_error:
+            lk.evaluate_drift(system, first)
+        assert str(block_error.value) == str(point_error.value)
+        assert block_error.value.component == point_error.value.component
+        np.testing.assert_array_equal(block_error.value.point, first)
+        assert type(block_error.value.__cause__) is type(point_error.value.__cause__)
+
+    def test_shape_validation(self, rational3):
+        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="length 3"):
+                lk.evaluate_drift(rational3, bad)
 
 
 class TestCompiledDrift:

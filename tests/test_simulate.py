@@ -1,7 +1,10 @@
 """Adaptive integrator, reduced systems, error bounds, and reports."""
 
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ from lumpkit.errors import (
     PseudoinverseError,
     SamplingError,
 )
-from lumpkit.simulate import _A, _E, _call_drift, _initial_step, _rms
+from lumpkit.simulate import _A, _E, _P, _call_drift, _initial_step, _rms
 
-from conftest import BIG_POWER
+from conftest import BIG_POWER, NON_FINITE
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 REFERENCE_RAW_L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
 REFERENCE_LBAR = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.4]])
@@ -48,6 +53,40 @@ def per_point_lipschitz(system, domain, n_samples):
         collected += 1
         worst = max(worst, float(np.linalg.norm(J, 2)))
     return 1.1 * worst
+
+
+def per_point_sample(traj, times):
+    """Test-only oracle: the dense output one time at a time, as it stood
+    before sampling was vectorised."""
+    rows = []
+    for t in times:
+        t = float(t)
+        if not (0.0 <= t <= traj.horizon):
+            raise ValueError(f"time {t} outside [0, {traj.horizon}]")
+        k = int(np.searchsorted(traj.times, t, side="right") - 1)
+        if k >= len(traj.segments):
+            rows.append(traj.states[-1].copy())
+        elif t == traj.times[k]:
+            rows.append(traj.states[k].copy())
+        else:
+            segment = traj.segments[k]
+            powers = ((t - segment.t0) / segment.h) ** np.arange(1, 5)
+            rows.append(segment.y0 + segment.h * (segment.stages.T @ (_P @ powers)))
+    return np.array(rows).reshape(-1, traj.dim)
+
+
+def simulate_long_oscillators():
+    """The 8 seeded m = 10 oscillator models of the benchmark's simulate_long
+    workload (perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # registered first: its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [
+        lk.parse_model(workloads.oscillator_model_text(key))
+        for key in range(workloads.OSCILLATOR_MODELS)
+    ]
 
 
 def rk4(drift, x0, horizon, steps):
@@ -332,6 +371,50 @@ class TestStepLoopParity:
         assert np.float64(_rms(q)).tobytes() == expected.tobytes()
 
 
+class TestDenseOutput:
+    """Trajectory.sample evaluates all times at once with the bits of the
+    per-point dense output of per_point_sample."""
+
+    @staticmethod
+    def assert_sample_matches_points(traj, times):
+        sampled = traj.sample(times)
+        assert sampled.shape == (len(times), traj.dim)
+        assert sampled.tobytes() == per_point_sample(traj, times).tobytes()
+        for t, row in zip(times, sampled):
+            assert traj.at(t).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_models(self, rel_tol, rational3, rational3_perturbed, poly4):
+        systems = [rational3, rational3_perturbed, poly4, *simulate_long_oscillators()]
+        config = lk.SolverConfig(rel_tol=rel_tol, abs_tol=1e-12)
+        rng = np.random.Generator(np.random.PCG64(17))
+        for system in systems:
+            drift = lambda x: lk.evaluate_drift(system, x)
+            T = system.time_horizon
+            traj = lk.integrate(drift, system.initial_conditions[0], T, config)
+            grid = np.linspace(0.0, T, 200)
+            unsorted = rng.uniform(0.0, T, 50)
+            knots = traj.times[rng.integers(0, traj.times.size, 10)]
+            mixed = np.concatenate([unsorted, unsorted[:7], knots, grid[::-20], [T, 0.0, T]])
+            for times in (grid, traj.times, mixed, [0.0], [T]):
+                self.assert_sample_matches_points(traj, times)
+
+    def test_knots_and_horizon_give_the_stored_states(self, rational3):
+        traj = lk.integrate(lambda x: lk.evaluate_drift(rational3, x), np.ones(3), 1.75)
+        np.testing.assert_array_equal(traj.sample(traj.times[::-1]), traj.states[::-1])
+        sampled = traj.sample([1.75])
+        sampled[0, 0] = -1.0  # a copy, not a view of the stored states
+        assert traj.states[-1, 0] != -1.0
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, math.inf])
+    def test_times_outside_the_horizon_raise(self, bad):
+        traj = lk.integrate(lambda y: -y, np.array([1.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match=f"time {bad} outside"):
+            traj.sample([0.5, bad, 0.25])
+        with pytest.raises(ValueError, match="outside"):
+            traj.at(bad)
+
+
 class TestReducedDrift:
     def test_perturbed_reduced_drift_golden(self, rational3_perturbed):
         reduced = lk.build_reduced_drift(
@@ -501,6 +584,28 @@ class TestEstimateLipschitz:
         domain = lk.SamplingDomain(lower=[5.84, 0.0], upper=[5.89, 1.0])
         with pytest.raises(SamplingError):
             lk.estimate_lipschitz(system, domain)
+
+    def test_non_finite_samples_are_singular(self):
+        # 1e300*a*a overflows to inf on the whole box, and so does its
+        # derivative, with an inf * 0 = nan beside it: J = [[inf, nan], [1, 0]]
+        system = lk.parse_model(NON_FINITE)
+        domain = lk.SamplingDomain(lower=[1e10, 0.0], upper=[2e10, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SamplingError):
+            lk.estimate_lipschitz(system, domain)
+
+    def test_non_finite_samples_are_skipped(self):
+        # f is inf above a ~ 1.34e4, where J is still finite: those points
+        # are skipped as well, and the others keep their order in the stream
+        system = lk.parse_model(NON_FINITE)
+        domain = lk.SamplingDomain(lower=[0.0, 0.0], upper=[2e4, 1.0], seed=5)
+        rng = np.random.Generator(np.random.PCG64(5))
+        norms = []
+        with np.errstate(over="ignore"):
+            while len(norms) < 16:
+                f, J = lk.evaluate_drift_dual(system, rng.uniform(domain.lower, domain.upper))
+                if np.isfinite(f).all() and np.isfinite(J).all():
+                    norms.append(float(np.linalg.norm(J, 2)))
+            assert lk.estimate_lipschitz(system, domain, 16) == 1.1 * max(norms)
 
     def test_everywhere_singular_model(self):
         system = lk.parse_model(
