@@ -363,15 +363,10 @@ def _cmd_sweep(args) -> int:
     pairs = staircase(basis, system.observables, grid)
     phases.mark("sweep")
 
-    times = [eps for eps, _ in pairs]
-    ratios = np.array([eps / eps_mx if eps_mx > 0 else 0.0 for eps, _ in pairs])
-    sizes = np.array([size for _, size in pairs], dtype=float)
     with open(out / "staircase.csv", "w", newline="") as fh:
         fh.write("epsilon,epsilon_over_epsilon_max,reduced_size\n")
-        for eps, ratio, size in zip(times, ratios, sizes):
-            fh.write(
-                f"{format(float(eps), '.17g')},{format(float(ratio), '.17g')},{int(size)}\n"
-            )
+        for eps, size in pairs:
+            fh.write(f"{eps:.17g},{eps / eps_mx if eps_mx > 0 else 0.0:.17g},{size}\n")
     _write_manifest(
         out,
         "sweep",
@@ -384,7 +379,7 @@ def _cmd_sweep(args) -> int:
         phases.timings,
     )
     print(f"epsilon_max: {eps_mx:.17g}")
-    print(f"sizes: {sizes[0]:.0f} down to {sizes[-1]:.0f} over {args.grid} tolerances")
+    print(f"sizes: {pairs[0][1]} down to {pairs[-1][1]} over {args.grid} tolerances")
     return 0
 
 

@@ -11,15 +11,17 @@ Jacobian and appends the normalized defect whenever the row's image sticks
 out of the current row space by more than epsilon, checking each row
 against all basis matrices in one batch. :func:`epsilon_max` gives
 the smallest tolerance that collapses the result back to the observables
-alone, and :func:`find_epsilon` bisects between the two extremes to hit a
-target size. :func:`deviation` measures how far a lumping is from exact,
-at one point or at a block of points in one drift call.
+alone, :func:`find_epsilon` bisects between the two extremes to hit a
+target size and :func:`staircase` tabulates size against tolerance, both
+sweeping once per decision interval (``valid_for``). :func:`deviation`
+measures how far a lumping is from exact, at one point or at a block of
+points in one drift call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -81,12 +83,7 @@ class RowProvenance:
     distance: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "origin": self.origin,
-            "source_row": self.source_row,
-            "source_matrix": self.source_matrix,
-            "distance": self.distance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -347,6 +344,22 @@ class EpsilonSearchResult:
     boundary: str | None = None
 
 
+def _lumps_at(basis: JacobianBasis, observables):
+    """``lump_at(eps)``, :func:`approximate_lump` swept once per decision
+    interval: a tolerance inside the ``valid_for`` of a lumping already swept
+    reuses it with ``epsilon`` set to that tolerance, as a sweep returns it."""
+    swept: list[LumpingMatrix] = []
+
+    def lump_at(eps: float) -> LumpingMatrix:
+        for known in swept:
+            if known.valid_for[0] <= eps < known.valid_for[1]:
+                return replace(known, epsilon=eps)
+        swept.append(approximate_lump(basis, observables, eps))
+        return swept[-1]
+
+    return lump_at
+
+
 def find_epsilon(
     basis: JacobianBasis, observables, config: EpsilonSearchConfig
 ) -> EpsilonSearchResult:
@@ -360,10 +373,8 @@ def find_epsilon(
     below d_min; the returned tolerance is the hi end, whose lumping is
     returned with it.
 
-    The search sweeps once per decision interval: a tolerance inside the
-    ``valid_for`` interval of a lumping already swept in this call reuses
-    that lumping (with its ``epsilon`` set to the new tolerance) instead of
-    sweeping again, which gives the same result bit for bit.
+    The search sweeps once per decision interval (see :func:`_lumps_at`),
+    which gives the same result bit for bit.
     """
     M = np.atleast_2d(np.asarray(observables, dtype=float))
     p = orthonormalize_rows(M).shape[0]
@@ -376,15 +387,7 @@ def find_epsilon(
             epsilon=eps, lump=lump, iterations=1, boundary="cutoff_below_observable_rank"
         )
 
-    swept: list[LumpingMatrix] = []
-
-    def lump_at(eps: float) -> LumpingMatrix:
-        for known in swept:
-            if known.valid_for[0] <= eps < known.valid_for[1]:
-                return replace(known, epsilon=eps)
-        swept.append(approximate_lump(basis, M, eps))
-        return swept[-1]
-
+    lump_at = _lumps_at(basis, M)
     exact = lump_at(0.0)
     if target >= exact.dim:
         return EpsilonSearchResult(
@@ -419,14 +422,16 @@ def find_epsilon(
 
 def staircase(basis: JacobianBasis, observables, grid) -> tuple[tuple[float, int], ...]:
     """Reduction size at each tolerance of the grid, in ascending tolerance
-    order. Sizes must not increase with the tolerance; a violation raises
+    order, sweeping once per decision interval the grid touches. Sizes must
+    not increase with the tolerance; a violation raises
     :class:`~lumpkit.errors.MonotonicityError` naming the offending pair."""
     eps_values = sorted(float(e) for e in grid)
-    if any(e < 0 for e in eps_values):
-        raise ValueError("grid tolerances must be non-negative")
+    if not all(e >= 0 for e in eps_values):
+        raise ValueError("grid tolerances must be non-negative numbers")
+    lump_at = _lumps_at(basis, observables)
     pairs: list[tuple[float, int]] = []
     for eps in eps_values:
-        size = approximate_lump(basis, observables, eps).dim
+        size = lump_at(eps).dim
         if pairs and size > pairs[-1][1]:
             raise MonotonicityError(
                 f"reduction size grew with the tolerance: size {pairs[-1][1]} at "

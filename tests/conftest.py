@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,17 @@ NON_FINITE = (
     "model nonfinite\nvar a, b\neq a = 1e300*a*a\neq b = a\n"
     "init a = 1\ninit b = 1\nobs b\nhorizon 1\n"
 )
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, perfbench/workloads.py."""
+    path = MODELS_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # registered first: its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def model_path(name: str) -> Path:

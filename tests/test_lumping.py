@@ -14,7 +14,7 @@ from lumpkit.errors import (
     RankDeficiencyError,
 )
 
-from conftest import REFERENCE_ROWS, model_path, sweep_fixpoint_holds
+from conftest import REFERENCE_ROWS, benchmark_workloads, model_path, sweep_fixpoint_holds
 
 OBS_X1 = np.array([[1.0, 0.0, 0.0]])
 
@@ -576,11 +576,69 @@ class TestStaircase:
         sizes = iter([2, 3])
 
         def fake_lump(basis, observables, epsilon, record_trace=False):
-            return SimpleNamespace(dim=next(sizes))
+            # an empty valid_for, so that every grid point reaches the stub
+            return SimpleNamespace(dim=next(sizes), valid_for=(epsilon, epsilon))
 
         monkeypatch.setattr(lk.lumping, "approximate_lump", fake_lump)
         with pytest.raises(MonotonicityError, match="grew"):
             lk.lumping.staircase(worked_basis, OBS_X1, [0.0, 1.0])
+
+    def test_nan_tolerance_rejected(self, worked_basis, sweep_log):
+        with pytest.raises(ValueError, match="grid"):
+            lk.staircase(worked_basis, OBS_X1, [0.1, float("nan"), 0.0])
+        assert sweep_log == []
+
+
+class TestStaircaseReuse:
+    """staircase sweeps once per decision interval the grid touches; the
+    oracle sweeps at every grid point."""
+
+    @staticmethod
+    def oracle(basis, observables, grid):
+        lumps = [lk.approximate_lump(basis, observables, e) for e in sorted(grid)]
+        return [lump.dim for lump in lumps], {lump.valid_for for lump in lumps}
+
+    def assert_matches_oracle(self, basis, observables, grid, sweep_log):
+        sizes, intervals = self.oracle(basis, observables, grid)
+        sweep_log.clear()
+        pairs = lk.staircase(basis, observables, grid)
+        assert [eps for eps, _ in pairs] == sorted(float(e) for e in grid)
+        assert [size for _, size in pairs] == sizes
+        assert len(sweep_log) == len(intervals)
+        return len(sweep_log)
+
+    def test_worked_basis(self, worked_basis, sweep_log):
+        eps_mx = lk.epsilon_max(worked_basis, OBS_X1)
+        for grid in ([0.0, 0.05, 0.2, 1.0, 21.0], np.linspace(0.0, eps_mx, 50)):
+            self.assert_matches_oracle(worked_basis, OBS_X1, grid, sweep_log)
+
+    def test_bundled_bases(self, sweep_log):
+        for basis, observables in bundled_bases():
+            grid = np.linspace(0.0, lk.epsilon_max(basis, observables), 50)
+            assert self.assert_matches_oracle(basis, observables, grid, sweep_log) <= 4
+
+    def test_random_corpus(self, random_corpus, sweep_log):
+        for system, basis, eps_mx in random_corpus:
+            grid = np.linspace(0.0, eps_mx, 257)
+            self.assert_matches_oracle(basis, system.observables, grid, sweep_log)
+
+    def test_non_monotone_model(self, sweep_log):
+        # model 0 of the benchmark's search workload, with the basis it samples
+        system = lk.parse_model(benchmark_workloads().rational_model_text(0))
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        M = system.observables
+        grid = np.linspace(0.0, lk.epsilon_max(basis, M), 50)
+        sizes, _ = self.oracle(basis, M, grid)
+        k = next(k for k in range(1, len(sizes)) if sizes[k] > sizes[k - 1])
+        expected = (
+            f"reduction size grew with the tolerance: size {sizes[k - 1]} at "
+            f"eps={float(grid[k - 1])!r} but size {sizes[k]} at eps={float(grid[k])!r}"
+        )
+        sweep_log.clear()
+        with pytest.raises(MonotonicityError) as exc_info:
+            lk.staircase(basis, M, grid)
+        assert str(exc_info.value) == expected
+        assert len(sweep_log) < k + 1
 
 
 class TestRandomCorpusProperties:

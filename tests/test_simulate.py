@@ -1,10 +1,7 @@
 """Adaptive integrator, reduced systems, error bounds, and reports."""
 
-import importlib.util
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +17,7 @@ from lumpkit.errors import (
 )
 from lumpkit.simulate import _A, _E, _P, _call_drift, _initial_step, _rms
 
-from conftest import BIG_POWER, NON_FINITE
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from conftest import BIG_POWER, NON_FINITE, benchmark_workloads
 
 REFERENCE_RAW_L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
 REFERENCE_LBAR = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.4]])
@@ -78,11 +73,7 @@ def per_point_sample(traj, times):
 def simulate_long_oscillators():
     """The 8 seeded m = 10 oscillator models of the benchmark's simulate_long
     workload (perfbench/workloads.py)."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # registered first: its dataclasses look their module up by name
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     return [
         lk.parse_model(workloads.oscillator_model_text(key))
         for key in range(workloads.OSCILLATOR_MODELS)
