@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -237,16 +238,7 @@ def _cmd_find_epsilon(args) -> int:
             "iterations": result.iterations,
             "boundary": result.boundary,
             "reduced_size": result.lump.dim,
-            "history": [
-                {
-                    "iteration": step.iteration,
-                    "lo": step.lo,
-                    "hi": step.hi,
-                    "epsilon": step.epsilon,
-                    "size": step.size,
-                }
-                for step in result.history
-            ],
+            "history": [asdict(step) for step in result.history],
         },
     )
     _write_json(out / "L.json", result.lump.to_json_dict())

@@ -11,9 +11,10 @@ Jacobian and appends the normalized defect whenever the row's image sticks
 out of the current row space by more than epsilon, checking each row
 against all basis matrices in one batch. :func:`epsilon_max` gives
 the smallest tolerance that collapses the result back to the observables
-alone, :func:`find_epsilon` bisects between the two extremes to hit a
-target size and :func:`staircase` tabulates size against tolerance, both
-sweeping once per decision interval (``valid_for``). :func:`deviation`
+alone, the lower end of ``valid_for`` at an infinite tolerance.
+:func:`find_epsilon` bisects between the two extremes to hit a target size
+and :func:`staircase` tabulates size against tolerance, both sweeping once
+per decision interval (``valid_for``). :func:`deviation`
 measures how far a lumping is from exact, at one point or at a block of
 points in one drift call.
 """
@@ -300,11 +301,10 @@ def deviation(system: OdeSystem, lump: LumpingMatrix, x) -> float | np.ndarray:
 
 def epsilon_max(basis: JacobianBasis, observables) -> float:
     """Smallest tolerance at which :func:`approximate_lump` keeps only the
-    observable rows: the largest distance its first pass measures, since at
-    an infinite tolerance that pass appends nothing and checks every
-    observable row against every basis matrix."""
-    trace = approximate_lump(basis, observables, math.inf, record_trace=True).trace
-    return max((event.distance for event in trace), default=0.0)
+    observable rows: the lower end of ``valid_for`` of the sweep at an
+    infinite tolerance, which appends nothing, so that interval is
+    [epsilon_max, inf)."""
+    return approximate_lump(basis, observables, math.inf).valid_for[0]
 
 
 @dataclass(frozen=True)
@@ -347,13 +347,14 @@ class EpsilonSearchResult:
 def _lumps_at(basis: JacobianBasis, observables):
     """``lump_at(eps)``, :func:`approximate_lump` swept once per decision
     interval: a tolerance inside the ``valid_for`` of a lumping already swept
-    reuses it with ``epsilon`` set to that tolerance, as a sweep returns it."""
+    gets that lumping itself, whose ``epsilon`` is the tolerance it was swept
+    at; its matrix and provenance are those of a sweep at ``eps``."""
     swept: list[LumpingMatrix] = []
 
     def lump_at(eps: float) -> LumpingMatrix:
         for known in swept:
             if known.valid_for[0] <= eps < known.valid_for[1]:
-                return replace(known, epsilon=eps)
+                return known
         swept.append(approximate_lump(basis, observables, eps))
         return swept[-1]
 
@@ -373,30 +374,31 @@ def find_epsilon(
     below d_min; the returned tolerance is the hi end, whose lumping is
     returned with it.
 
-    The search sweeps once per decision interval (see :func:`_lumps_at`),
-    which gives the same result bit for bit.
+    epsilon_max and the observables-only lumping come from one sweep at an
+    infinite tolerance (see :func:`epsilon_max`), and the search sweeps once
+    per decision interval (see :func:`_lumps_at`), which gives the same
+    result bit for bit.
     """
     M = np.atleast_2d(np.asarray(observables, dtype=float))
     p = orthonormalize_rows(M).shape[0]
     target = config.cutoff_size
-
-    if target < p:
-        eps = epsilon_max(basis, M)
-        lump = approximate_lump(basis, M, eps)
-        return EpsilonSearchResult(
-            epsilon=eps, lump=lump, iterations=1, boundary="cutoff_below_observable_rank"
-        )
-
     lump_at = _lumps_at(basis, M)
-    exact = lump_at(0.0)
-    if target >= exact.dim:
+
+    if target >= p:
+        exact = lump_at(0.0)
+        if target >= exact.dim:
+            return EpsilonSearchResult(
+                epsilon=0.0, lump=exact, iterations=1, boundary="exact_fits_cutoff"
+            )
+
+    best = lump_at(math.inf)
+    lo, hi = 0.0, best.valid_for[0]
+    if target < p:
+        lump = replace(best, epsilon=hi)
         return EpsilonSearchResult(
-            epsilon=0.0, lump=exact, iterations=1, boundary="exact_fits_cutoff"
+            epsilon=hi, lump=lump, iterations=1, boundary="cutoff_below_observable_rank"
         )
 
-    lo = 0.0
-    hi = epsilon_max(basis, M)
-    best = lump_at(hi)
     history: list[SearchStep] = []
     iterations = 0
     while hi - lo >= config.d_min:
@@ -416,7 +418,7 @@ def find_epsilon(
         else:
             lo = mid
     return EpsilonSearchResult(
-        epsilon=hi, lump=best, iterations=iterations, history=tuple(history)
+        epsilon=hi, lump=replace(best, epsilon=hi), iterations=iterations, history=tuple(history)
     )
 
 

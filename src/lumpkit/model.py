@@ -250,6 +250,9 @@ class IntPow(Expression):
         return self.base.evaluate(values) ** self.exponent
 
 
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
     """Render an expression fully parenthesized. Parsing the result yields a
     structurally identical tree (used for debugging and round-trip tests)."""
@@ -257,22 +260,15 @@ def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
         return repr(expr.value)
     if isinstance(expr, Variable):
         return var_names[expr.index]
-    if isinstance(expr, Add):
-        return f"({expression_to_text(expr.left, var_names)} + {expression_to_text(expr.right, var_names)})"
-    if isinstance(expr, Sub):
-        return f"({expression_to_text(expr.left, var_names)} - {expression_to_text(expr.right, var_names)})"
-    if isinstance(expr, Mul):
-        return f"({expression_to_text(expr.left, var_names)} * {expression_to_text(expr.right, var_names)})"
-    if isinstance(expr, Div):
-        return f"({expression_to_text(expr.left, var_names)} / {expression_to_text(expr.right, var_names)})"
+    if type(expr) in _BINARY_OPS:
+        left = expression_to_text(expr.left, var_names)
+        right = expression_to_text(expr.right, var_names)
+        return f"({left} {_BINARY_OPS[type(expr)]} {right})"
     if isinstance(expr, Neg):
         return f"(-{expression_to_text(expr.operand, var_names)})"
     if isinstance(expr, IntPow):
         return f"({expression_to_text(expr.base, var_names)} ^ {expr.exponent})"
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def _straight_line(expr: Expression, body: list[str], constants: list) -> str:

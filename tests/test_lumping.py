@@ -1,5 +1,6 @@
 """Lumping sweep, tolerance extremes, and the size-targeted bisection."""
 
+import math
 from operator import attrgetter
 
 import numpy as np
@@ -281,6 +282,27 @@ class TestEpsilonMax:
         below = lk.approximate_lump(worked_basis, OBS_X1, eps_mx * (1 - 1e-3))
         assert below.dim >= 2
 
+    def test_is_lower_end_of_valid_for_at_infinity(self, worked_basis, random_corpus):
+        cases = [(worked_basis, OBS_X1), *bundled_bases()]
+        cases += [(basis, system.observables) for system, basis, _ in random_corpus]
+        for basis, observables in cases:
+            top = lk.approximate_lump(basis, observables, math.inf)
+            assert lk.epsilon_max(basis, observables) == top.valid_for[0]
+            assert top.valid_for[1] == math.inf
+
+    def test_exactly_lumpable_observables_give_zero(self, rational3):
+        # the observables alone are invariant: the sweep at 0 keeps them, so
+        # nothing above 0 is needed, whatever roundoff the checks measure
+        for seed in range(4):
+            basis = lk.sample_jacobian_basis(rational3, lk.default_domain(rational3, seed=seed))
+            assert lk.epsilon_max(basis, REFERENCE_ROWS) == 0.0
+            assert lk.approximate_lump(basis, REFERENCE_ROWS, 0.0).dim == 2
+            config = lk.EpsilonSearchConfig(cutoff_size=1)
+            result = lk.find_epsilon(basis, REFERENCE_ROWS, config)
+            assert result.epsilon == 0.0
+            assert result.boundary == "cutoff_below_observable_rank"
+            assert result.lump.epsilon == 0.0 and result.lump.dim == 2
+
 
 class TestFindEpsilon:
     def test_cutoff_below_observable_rank(self, worked_basis):
@@ -398,6 +420,56 @@ class TestFindEpsilonReuse:
                 result = lk.find_epsilon(basis, system.observables, config)
                 assert len(sweep_log) <= result.iterations + 3
                 self.assert_replay_agrees(basis, system.observables, result)
+
+
+class TestSweepCounts:
+    """Which tolerances find_epsilon and staircase really sweep at."""
+
+    def test_cutoff_below_rank_sweeps_once_at_infinity(self, worked_basis, sweep_log):
+        result = lk.find_epsilon(worked_basis, OBS_X1, lk.EpsilonSearchConfig(cutoff_size=0))
+        assert result.boundary == "cutoff_below_observable_rank"
+        assert sweep_log == [math.inf]
+        assert result.lump.epsilon == result.epsilon == lk.epsilon_max(worked_basis, OBS_X1)
+        assert result.lump.valid_for == (result.epsilon, math.inf)
+
+    def test_exact_fit_sweeps_once_at_zero(self, worked_basis, sweep_log):
+        result = lk.find_epsilon(worked_basis, OBS_X1, lk.EpsilonSearchConfig(cutoff_size=3))
+        assert result.boundary == "exact_fits_cutoff"
+        assert sweep_log == [0.0]
+
+    def test_bisection_does_not_sweep_at_the_bracket_top(
+        self, worked_basis, random_corpus, sweep_log
+    ):
+        cases = [(worked_basis, OBS_X1, 2)]
+        for system, basis, _ in random_corpus:
+            cases += [(basis, system.observables, c) for c in (1, system.dim // 2)]
+        bisected = 0
+        for basis, observables, cutoff in cases:
+            top = lk.epsilon_max(basis, observables)
+            sweep_log.clear()
+            result = lk.find_epsilon(basis, observables, lk.EpsilonSearchConfig(cutoff))
+            if result.boundary is None:
+                bisected += 1
+                assert result.history[0].hi == top
+                assert sweep_log[:2] == [0.0, math.inf]
+                assert top not in sweep_log
+        assert bisected > len(cases) // 2
+
+    def test_staircase_reuse_builds_no_lumping(self, worked_basis, sweep_log, monkeypatch):
+        built = []
+        check = lk.LumpingMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.epsilon)
+            check(self)
+
+        monkeypatch.setattr(lk.LumpingMatrix, "__post_init__", counting)
+        grid = np.linspace(0.0, lk.epsilon_max(worked_basis, OBS_X1), 50)
+        sweep_log.clear()
+        built.clear()
+        lk.staircase(worked_basis, OBS_X1, grid)
+        assert len(sweep_log) < len(grid)
+        assert built == sweep_log
 
 
 class TestValidFor:
