@@ -200,6 +200,7 @@ def _cmd_lump(args) -> int:
             "seed": seed,
             "confirmations": args.confirmations,
             "epsilon": args.epsilon,
+            "points": args.points,
         },
         phases.timings,
     )

@@ -7,11 +7,14 @@ the matrices whose flattened form is numerically independent of what was
 kept so far (two classical Gram-Schmidt passes, see :func:`project_out`).
 Sampling stops once a run of consecutive draws adds nothing new.
 
-Points are drawn and evaluated a block of up to m at a time, one
-:func:`~lumpkit.model.evaluate_drift_dual` call per block, and their
-Jacobians go through the rank test one by one. A block draws the same numbers
-as the same count of single draws, and the dual evaluation of a block gives
-each point's bits, so the basis is the one point-by-point sampling builds.
+:func:`sample_jacobians` holds the sampling rules, for the basis and for the
+Lipschitz estimate of :mod:`lumpkit.simulate` alike: the seeded stream of
+points, one :func:`~lumpkit.model.evaluate_drift_dual` call per block of
+them, and the skipping of singular points. The basis takes blocks of up to m
+and sends their Jacobians through the rank test one by one. A block draws the
+same numbers as the same count of single draws, and the dual evaluation of a
+block gives each point's bits, so the basis is the one point-by-point
+sampling builds.
 
 Randomness comes from numpy's PCG64 generator seeded explicitly, so a given
 seed reproduces the same basis on any platform.
@@ -50,8 +53,9 @@ class SamplingDomain:
 
     ``confirmations`` is the number of consecutive dependent samples required
     before the basis is declared complete. ``max_resamples`` bounds the run of
-    consecutive singular evaluations tolerated before giving up (default
-    100 * m, resolved at sampling time).
+    consecutive singular evaluations tolerated before giving up, for the
+    basis and for the Lipschitz estimate alike (default 100 * m, resolved by
+    :func:`sample_jacobians`).
     """
 
     lower: np.ndarray
@@ -110,12 +114,13 @@ def default_domain(system: OdeSystem, seed: int = 0, confirmations: int = 3) -> 
 class JacobianBasis:
     """Numerically independent Jacobian samples spanning span{J(x)}.
 
-    ``ortho_flat`` holds the orthonormalized flattened matrices, one row per
-    basis member, and is what residual computations project against.
+    ``matrices`` is one read-only ``(K, m, m)`` array, one matrix per basis
+    member. ``ortho_flat`` holds the orthonormalized flattened matrices, one
+    row per basis member, and is what residual computations project against.
     """
 
     state_dim: int
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     sample_points: tuple[np.ndarray | None, ...]
     ortho_flat: np.ndarray
 
@@ -131,8 +136,7 @@ class JacobianBasis:
         # np.array_equal(None, None) holds, and None equals no array
         return (
             self.state_dim == other.state_dim
-            and len(self.matrices) == len(other.matrices)
-            and all(map(np.array_equal, self.matrices, other.matrices))
+            and np.array_equal(self.matrices, other.matrices)
             and all(map(np.array_equal, self.sample_points, other.sample_points))
             and np.array_equal(self.ortho_flat, other.ortho_flat)
         )
@@ -146,7 +150,7 @@ class JacobianBasis:
             "state_dim": self.state_dim,
             "dimension": self.dimension,
             "rank_rtol": RANK_RTOL,
-            "matrices": [J.tolist() for J in self.matrices],
+            "matrices": self.matrices.tolist(),
             "sample_points": [
                 None if x is None else x.tolist() for x in self.sample_points
             ],
@@ -196,7 +200,7 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
         rnorm = float(np.linalg.norm(r))
         if scale > 0.0 and rnorm > RANK_RTOL * scale:
             Q = np.vstack((Q, r / rnorm))
-            mats.append(_freeze(J))
+            mats.append(J)
             pts.append(None if point is None else _freeze(point))
             dependent_run = 0
         else:
@@ -205,7 +209,7 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
             break
     return JacobianBasis(
         state_dim=system_dim,
-        matrices=tuple(mats),
+        matrices=_freeze(np.reshape(mats, (-1, system_dim, system_dim))),
         sample_points=tuple(pts),
         ortho_flat=Q,
     )
@@ -236,20 +240,49 @@ def basis_from_points(system: OdeSystem, points) -> JacobianBasis:
     return _build_basis(system.dim, candidates())
 
 
-def _regular_jacobians(evaluate, system: OdeSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J at each row of the block X, and the mask of the rows whose drift
-    evaluates without error to a finite f and J. A block that raises is
-    evaluated again one point at a time. ``evaluate`` is
-    :func:`~lumpkit.model.evaluate_drift_dual` as the calling module names
-    it, so that whatever wraps or replaces that name there sees each call."""
-    try:
-        f, jacobians = evaluate(system, X)
-    except EvaluationError:
-        f, jacobians = np.full(X.shape, np.nan), np.full(X.shape + X.shape[-1:], np.nan)
-        for i, x in enumerate(X):
-            with contextlib.suppress(EvaluationError):  # the row stays NaN
-                f[i], jacobians[i] = evaluate(system, x)
-    return jacobians, np.isfinite(f).all(axis=1) & np.isfinite(jacobians).all(axis=(1, 2))
+def sample_jacobians(system: OdeSystem, domain: SamplingDomain, block_size, evaluate, points=()):
+    """Yield ``(J(x), x)`` at ``points``, then along the PCG64 ``uniform(lower,
+    upper)`` stream of ``domain.seed``, in blocks of ``block_size(yielded)``
+    points, ``yielded`` counting the pairs so far. Each block is one call of
+    ``evaluate``, :func:`~lumpkit.model.evaluate_drift_dual` as the calling
+    module names it (so whatever wraps that name there sees each call); a
+    block that raises is evaluated again point by point. Points where the
+    drift is singular or f or J is non-finite are skipped; more than
+    ``domain.max_resamples`` in a row (default 100 * m) raise
+    :class:`~lumpkit.errors.SamplingError`. The pairs and the skips are those
+    of one draw and one evaluation per point."""
+    m = system.dim
+    if domain.dim != m:
+        raise DimensionMismatchError("domain dimension does not match the system")
+    limit = domain.max_resamples if domain.max_resamples is not None else 100 * m
+    rng = np.random.Generator(np.random.PCG64(domain.seed))
+    queue = deque(np.asarray(x, dtype=float) for x in points)
+    failures = yielded = 0
+    while True:
+        size = block_size(yielded)
+        if queue:
+            X = np.array([queue.popleft() for _ in range(min(size, len(queue)))])
+        else:
+            X = rng.uniform(domain.lower, domain.upper, size=(size, m))
+        try:
+            f, jacobians = evaluate(system, X)
+        except EvaluationError:
+            f, jacobians = np.full(X.shape, np.nan), np.full(X.shape + (m,), np.nan)
+            for i, x in enumerate(X):
+                with contextlib.suppress(EvaluationError):  # the row stays NaN
+                    f[i], jacobians[i] = evaluate(system, x)
+        regular = np.isfinite(f).all(axis=1) & np.isfinite(jacobians).all(axis=(1, 2))
+        for x, J, ok in zip(X, jacobians, regular.tolist()):
+            if not ok:
+                failures += 1
+                if failures > limit:
+                    raise SamplingError(
+                        f"{failures} consecutive singular samples; shrink or move the domain"
+                    )
+                continue
+            failures = 0
+            yielded += 1
+            yield J, x
 
 
 def sample_jacobian_basis(
@@ -260,48 +293,21 @@ def sample_jacobian_basis(
     collected so far (or the span reaches its m^2 cap).
 
     ``initial_points`` are consumed before any random draw and go through the
-    same independence test. Points where the drift is singular, or where f
-    or J has a non-finite entry, are skipped; more than ``max_resamples``
-    consecutive failures abort.
-
-    Points are evaluated in blocks of up to m (fewer near the m^2 cap), and
-    a block with a singular point again one point at a time; the basis, the
-    skipped points and the failure count are those of point-by-point
-    sampling.
+    same independence test. Singular points are skipped as
+    :func:`sample_jacobians` skips them. Points are evaluated in blocks of up
+    to m, fewer near the m^2 cap: the span fills no sooner than m^2 - yielded
+    more candidates, so the cap never leaves a point of a block evaluated in
+    vain.
     """
     m = system.dim
-    if domain.dim != m:
-        raise DimensionMismatchError("domain dimension does not match the system")
-    limit = domain.max_resamples if domain.max_resamples is not None else 100 * m
-    rng = np.random.Generator(np.random.PCG64(domain.seed))
-    queue = deque(np.asarray(x, dtype=float) for x in initial_points)
-
-    def candidates():
-        failures = 0
-        yielded = 0
-        while True:
-            # the span fills no sooner than m^2 - yielded more candidates, so
-            # the cap never leaves a point of this block evaluated in vain
-            size = max(1, min(m, m * m - yielded))
-            if queue:
-                X = np.array([queue.popleft() for _ in range(min(size, len(queue)))])
-            else:
-                X = rng.uniform(domain.lower, domain.upper, size=(size, m))
-            jacobians, regular = _regular_jacobians(evaluate_drift_dual, system, X)
-            for x, J, ok in zip(X, jacobians, regular.tolist()):
-                if not ok:
-                    failures += 1
-                    if failures > limit:
-                        raise SamplingError(
-                            f"{failures} consecutive singular samples; "
-                            "shrink or move the domain"
-                        )
-                    continue
-                failures = 0
-                yielded += 1
-                yield J, x
-
-    return _build_basis(m, candidates(), domain.confirmations)
+    candidates = sample_jacobians(
+        system,
+        domain,
+        lambda yielded: max(1, min(m, m * m - yielded)),
+        evaluate_drift_dual,
+        initial_points,
+    )
+    return _build_basis(m, candidates, domain.confirmations)
 
 
 def membership_residual(basis: JacobianBasis, J) -> float:

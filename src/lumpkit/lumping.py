@@ -228,7 +228,6 @@ def approximate_lump(
     trace: list[TraceEvent] = []
     lo, hi = 0.0, math.inf
 
-    Js = np.stack(basis.matrices) if basis.matrices else np.empty((0, m, m))
     sweep = 0
     appended_in_pass = True
     while appended_in_pass:
@@ -236,7 +235,7 @@ def approximate_lump(
         sweep += 1
         row = 0
         while row < count:
-            V = L[row] @ Js
+            V = L[row] @ basis.matrices
             slack = ZERO_EPSILON_RTOL * np.linalg.norm(V, axis=1)
             k0 = 0
             while k0 < len(V):

@@ -446,7 +446,7 @@ def _evaluate_components(system: OdeSystem, x: np.ndarray, lift) -> list:
 
 
 def _columns(x: np.ndarray) -> list:
-    # a point is lifted to floats; the variables of a block are its columns
+    # a point (a failing block's row, retried) lifts to floats; a block's variables are its columns
     return x.tolist() if x.ndim == 1 else list(x.T.copy().view(_Column))
 
 

@@ -12,14 +12,15 @@ deviation along the trajectory, and an a-priori error bound built from an
 estimated Lipschitz constant. The grid is evaluated in blocks, with the bits
 of one evaluation per point: :meth:`Trajectory.sample` interpolates all grid
 times at once, :func:`~lumpkit.lumping.deviation` takes all grid points in
-one drift call, and :func:`estimate_lipschitz` evaluates its sample
-Jacobians as one block of dual numbers and takes their spectral norms in one
-stacked call.
+one drift call, and :func:`estimate_lipschitz` takes its sample Jacobians
+from :func:`~lumpkit.jacobian.sample_jacobians`, the sampler of the Jacobian
+basis, and their spectral norms in one stacked call.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,14 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EvaluationError,
-    IntegrationError,
-    PseudoinverseError,
-    SamplingError,
-)
-from .jacobian import SamplingDomain, _regular_jacobians
+from .errors import DimensionMismatchError, EvaluationError, IntegrationError, PseudoinverseError
+from .jacobian import SamplingDomain, sample_jacobians
 from .lumping import LumpingMatrix, deviation
 from .model import OdeSystem, evaluate_drift, evaluate_drift_dual
 
@@ -340,36 +335,21 @@ def estimate_lipschitz(
 ) -> float:
     """Estimate a Lipschitz constant of the drift over the domain as the
     largest spectral norm ``np.linalg.norm(J(x), 2)`` at random sample points,
-    times a 1.1 safety factor. The points are the PCG64 ``uniform(lower,
-    upper)`` stream for ``domain.seed``, the stream Jacobian sampling draws.
-    They are drawn and evaluated as one ``(n_samples, m)`` block, whose
-    spectral norms are taken in one stacked call; this gives the bits of one
-    draw, one evaluation and one norm per point. Singular points, and points
-    where f or J has a non-finite entry, are skipped and replaced by a further
-    block; more than ``max_resamples`` of them in a row raise
-    :class:`~lumpkit.errors.SamplingError`."""
-    if domain.dim != system.dim:
-        raise DimensionMismatchError("domain dimension does not match the system")
+    times a 1.1 safety factor. The Jacobians are the first ``n_samples`` that
+    :func:`~lumpkit.jacobian.sample_jacobians` yields for ``domain``: the
+    points of the seeded stream Jacobian sampling draws, with singular and
+    non-finite ones skipped under the same ``max_resamples`` limit and
+    :class:`~lumpkit.errors.SamplingError`. They come in blocks of the
+    ``n_samples - yielded`` points still missing, and their spectral norms are
+    taken in one stacked call; this gives the bits of one draw, one
+    evaluation and one norm per point."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = np.random.Generator(np.random.PCG64(domain.seed))
-    limit = domain.max_resamples if domain.max_resamples is not None else 100 * system.dim
-    worst = 0.0
-    collected = 0
-    failures = 0
-    while collected < n_samples:
-        X = rng.uniform(domain.lower, domain.upper, size=(n_samples - collected, system.dim))
-        jacobians, regular = _regular_jacobians(evaluate_drift_dual, system, X)
-        for ok in regular.tolist():
-            failures = 0 if ok else failures + 1
-            if failures > limit:
-                raise SamplingError(
-                    "could not find enough non-singular points for the Lipschitz estimate"
-                )
-        collected += int(regular.sum())
-        norms = np.linalg.norm(jacobians[regular], 2, axis=(1, 2))
-        worst = float(np.max(norms, initial=worst))
-    return 1.1 * worst
+    samples = sample_jacobians(
+        system, domain, lambda yielded: n_samples - yielded, evaluate_drift_dual
+    )
+    jacobians = np.array([J for J, _ in itertools.islice(samples, n_samples)])
+    return 1.1 * float(np.max(np.linalg.norm(jacobians, 2, axis=(1, 2))))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,20 @@ class TestLump:
                     "--epsilon", "nan"]) == 1
         assert "--epsilon" in capsys.readouterr().err
 
+    def test_manifest_records_the_points_file(self, tmp_path):
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps([[1, 5, 2], [3, 3, 2]]))
+        for name, extra, expected in (
+            ("with", ["--points", str(points)], str(points)),
+            ("without", [], None),
+        ):
+            out = tmp_path / name
+            assert run(["lump", "--model", RATIONAL3, "--out", str(out), "--seed", "0",
+                        "--epsilon", "0", *extra]) == 0
+            manifest = read_json(out / "manifest.json")
+            assert manifest["settings"]["points"] == expected
+            assert set(manifest["timings"]) == {"parse", "basis", "lump"}
+
     def test_points_file_must_hold_a_list(self, tmp_path, capsys):
         points = tmp_path / "points.json"
         points.write_text("5")

@@ -1,4 +1,4 @@
-"""Static check that no package module imports a name it never uses."""
+"""Static checks on the imports of the package modules."""
 
 import ast
 from pathlib import Path
@@ -42,3 +42,41 @@ def test_no_unused_imports_in_package():
     assert paths, f"no modules found under {PACKAGE}"
     unused = {path.name: unused_imports(path.read_text()) for path in paths}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from another package module; dunders such
+    as ``__version__`` are allowed."""
+    return [
+        f"{node.module or ''}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "lumpkit")
+        for alias in node.names
+        if alias.name.startswith("_")
+        and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+
+
+def test_private_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import __version__\n"
+        "from .jacobian import SamplingDomain, _build_basis\n"
+        "from lumpkit.model import _points\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "def f():\n"
+        "    from .model import _Column\n"
+    )
+    assert private_imports(source) == [
+        "jacobian._build_basis (line 3)",
+        "lumpkit.model._points (line 4)",
+        "model._Column (line 7)",
+    ]
+
+
+def test_no_private_imports_in_package():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no modules found under {PACKAGE}"
+    found = {path.name: private_imports(path.read_text()) for path in paths}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -314,6 +314,22 @@ class TestExplicitBases:
         assert basis != lk.basis_from_matrices([J1])
         assert basis != lk.basis_from_matrices([], state_dim=3)
 
+    def test_matrices_are_one_read_only_array(self, rational3):
+        J1, J2 = GOLDEN_J_PLAIN[0], GOLDEN_J_PLAIN[1]
+        bases = [
+            lk.sample_jacobian_basis(rational3, lk.default_domain(rational3)),
+            lk.basis_from_points(rational3, CANONICAL_POINTS),
+            lk.basis_from_matrices([J1, 2.0 * J1, J2]),
+            lk.basis_from_matrices([], state_dim=3),
+        ]
+        for basis in bases:
+            assert isinstance(basis.matrices, np.ndarray)
+            assert basis.matrices.dtype == float
+            assert basis.matrices.shape == (basis.dimension, 3, 3)
+            assert not basis.matrices.flags.writeable
+        assert bases[2].dimension == 2
+        assert bases[3].matrices.shape == (0, 3, 3)
+
     def test_to_json_dict_schema(self, worked_basis):
         payload = worked_basis.to_json_dict()
         assert payload["state_dim"] == 3

@@ -604,8 +604,14 @@ class TestEstimateLipschitz:
             "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
         )
         domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2), max_resamples=5)
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError) as lipschitz_error:
             lk.estimate_lipschitz(system, domain)
+        # Jacobian basis sampling draws through the same sampler and gives up
+        # with the same message
+        with pytest.raises(SamplingError) as basis_error:
+            lk.sample_jacobian_basis(system, domain)
+        assert str(lipschitz_error.value) == str(basis_error.value)
+        assert str(lipschitz_error.value).startswith("6 consecutive singular samples")
 
     def test_validation(self, rational3):
         domain = lk.SamplingDomain(lower=np.zeros(3), upper=np.ones(3))
