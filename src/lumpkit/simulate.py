@@ -3,8 +3,10 @@
 The integrator is an embedded Dormand-Prince 5(4) pair with proportional
 step control and the pair's quartic dense-output interpolant. It is explicit
 on purpose: stiffness is reported (step underflow after repeated
-rejections), not worked around. The step loop keeps times in Python floats
-and never writes a state in place, so states and segments share its arrays.
+rejections), not worked around. The step loop builds its stage views once,
+makes six drift calls per step (the last, at the step's end, is the next
+step's first), keeps times in Python floats and never writes a state in
+place, so states and segments share its arrays.
 
 :func:`reduction_report` integrates the full and the reduced system side by
 side on a shared output grid and summarizes the observable error, the drift
@@ -227,6 +229,8 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
     states = [y]
     segments: list[_Segment] = []
     stages = np.empty((7, n))
+    heads = [stages[:s].T for s in range(8)]  # the first s stages, transposed
+    abs_y = np.abs(y)
     attempts = 0
     rejected_streak = 0
 
@@ -248,20 +252,21 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
 
         stages[0] = f_cur
         for s in range(1, 7):
-            y_stage = y + h * (stages[:s].T @ _A[s])
+            y_stage = y + h * (heads[s] @ _A[s])
             stages[s] = _call_drift(drift, y_stage, t + _C[s] * h)
-        y_new = y + h * (stages[:6].T @ _A[6])
-        # stage 7 is the FSAL evaluation at (t+h, y_new)
-        stages[6] = _call_drift(drift, y_new, t + h)
+        # the last stage is y_new (_C[6] = 1), and f there is the next step's stage 0
+        y_new = y_stage
 
-        err_vec = h * (stages.T @ _E)
-        scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+        err_vec = h * (heads[7] @ _E)
+        abs_new = np.abs(y_new)
+        scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.maximum(abs_y, abs_new))
         err = _rms(err_vec / scale)
 
         if err <= 1.0:
             segments.append(_Segment(t, h, y, stages.copy()))
             t = horizon if final_step else t + h
             y = y_new
+            abs_y = abs_new
             f_cur = stages[6].copy()
             times.append(t)
             states.append(y)
@@ -474,12 +479,14 @@ def reduction_report(
 
 def write_series_csv(path, times, columns: dict[str, np.ndarray]):
     """Write a time series as CSV with 17 significant digits, '.' decimal
-    separator and LF line endings. Column order: t, then the given columns."""
+    separator and LF line endings. Column order: t, then the given columns, each
+    a vector as long as ``times`` (checked before the file is opened)."""
+    ts = np.asarray(times, dtype=float)
+    series = [np.asarray(values, dtype=float) for values in columns.values()]
+    if ts.ndim != 1 or any(values.shape != ts.shape for values in series):
+        raise DimensionMismatchError("times and every column must be vectors of one length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", *columns.keys()])
-        series = list(columns.values())
-        for k, t in enumerate(times):
-            writer.writerow([format(float(t), ".17g")] + [
-                format(float(col[k]), ".17g") for col in series
-            ])
+        writer.writerow(["t", *columns])
+        rows = zip(ts.tolist(), *(values.tolist() for values in series))
+        writer.writerows([format(v, ".17g") for v in row] for row in rows)

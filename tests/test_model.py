@@ -12,7 +12,13 @@ import lumpkit as lk
 from lumpkit.errors import EvaluationError, ModelSyntaxError, ModelValidationError
 from lumpkit.model import Add, Constant, Div, Mul, Variable
 
-from conftest import central_difference_jacobian, model_path
+from conftest import (
+    BIG_POWER,
+    NON_FINITE,
+    benchmark_workloads,
+    central_difference_jacobian,
+    model_path,
+)
 
 
 def two_var(body: str) -> str:
@@ -517,9 +523,11 @@ class TestBatchedDrift:
         assert type(block_error.value.__cause__) is type(point_error.value.__cause__)
 
     def test_shape_validation(self, rational3):
-        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3)), np.float64(1.0)):
+        bad = [np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3)), np.float64(1.0), [1.0, 2.0]]
+        bad += [np.ones(4, dtype=int), np.ones((3, 1)), np.ones(6)[::2][:2]]
+        for x in bad:
             with pytest.raises(ValueError, match="length 3"):
-                lk.evaluate_drift(rational3, bad)
+                lk.evaluate_drift(rational3, x)
 
 
 class TestCompiledDrift:
@@ -535,6 +543,57 @@ class TestCompiledDrift:
         for system in systems:
             for _ in range(30):
                 assert_matches_tree_walk(system, rng.uniform(-2.0, 2.0, system.dim))
+
+    @staticmethod
+    def point_kinds(x: np.ndarray) -> list:
+        # one point as a list, a strided view, a read-only and a big-endian array
+        read_only = x.copy()
+        read_only.setflags(write=False)
+        return [x.tolist(), np.repeat(x, 3)[1::3], read_only, x.astype(">f8")]
+
+    def test_one_point_inputs_of_every_kind(self, rational3, rational3_perturbed, poly4):
+        workloads = benchmark_workloads()
+        systems = [rational3, rational3_perturbed, poly4]
+        systems += [lk.parse_model(BIG_POWER), lk.parse_model(NON_FINITE)]
+        systems += [
+            lk.parse_model(workloads.oscillator_model_text(key))
+            for key in range(workloads.OSCILLATOR_MODELS)
+        ]
+        rng = np.random.Generator(np.random.PCG64(21))
+        for system in systems:
+            for _ in range(20):
+                x = rng.uniform(-3.0, 3.0, system.dim)
+                expected = tree_walk(system, x).tobytes()
+                for point in self.point_kinds(x):
+                    assert lk.evaluate_drift(system, point).tobytes() == expected
+            ints = rng.integers(-2, 3, system.dim)
+            try:
+                expected = tree_walk(system, ints.astype(float)).tobytes()
+            except (ZeroDivisionError, OverflowError):
+                continue
+            assert lk.evaluate_drift(system, ints).tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "model, x",
+        [("rational3", [1.0, -3.0, 1.0]), (BIG_POWER, [10.0, 1.0]), (BIG_POWER, [-6.0, 0.0])],
+        ids=["zero_denominator", "overflow", "negative_overflow"],
+    )
+    def test_singular_point_errors_for_every_input_kind(self, model, x):
+        text = model_path(f"{model}.ode").read_text() if model == "rational3" else model
+        system = lk.parse_model(text)
+        x = np.array(x)
+        errors = []
+        for point in [x, *self.point_kinds(x)]:
+            with pytest.raises(EvaluationError) as exc_info:
+                lk.evaluate_drift(system, point)
+            error = exc_info.value
+            errors.append((str(error), error.component, error.point.tobytes(), type(error.__cause__)))
+        assert errors == errors[:1] * len(errors)
+        # the tree walk fails first in the component the error names
+        with pytest.raises((ZeroDivisionError, OverflowError)):
+            system.drift[errors[0][1]].evaluate(x.tolist())
+        for expr in system.drift[: errors[0][1]]:
+            expr.evaluate(x.tolist())
 
     def test_every_node_kind(self):
         # constant and bare-variable components, a^0, unary minus, all four operators

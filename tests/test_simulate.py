@@ -1,5 +1,6 @@
 """Adaptive integrator, reduced systems, error bounds, and reports."""
 
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lumpkit as lk
+from lumpkit.cli import main
 from lumpkit.errors import (
     DimensionMismatchError,
     EvaluationError,
@@ -17,7 +19,7 @@ from lumpkit.errors import (
 )
 from lumpkit.simulate import _A, _E, _P, _call_drift, _initial_step, _rms
 
-from conftest import BIG_POWER, NON_FINITE, benchmark_workloads
+from conftest import BIG_POWER, NON_FINITE, benchmark_workloads, model_path
 
 REFERENCE_RAW_L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
 REFERENCE_LBAR = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.4]])
@@ -285,6 +287,52 @@ class TestIntegrate:
         assert "np.float64" not in str(exc_info.value)
         assert str(exc_info.value).startswith(f"drift evaluation failed at t={time_reached!r}, ")
 
+    def test_fsal_stage_failure_reports_the_end_of_the_step(self):
+        # with a given first step there is no probe: call 1 is f(x0) and calls
+        # 2-7 are the stages of the first step, the last at (t+h, y_new)
+        calls = []
+
+        def drift(y):
+            calls.append(y)
+            if len(calls) == 7:
+                raise EvaluationError("singular", component=0, point=y)
+            return -y
+
+        with pytest.raises(IntegrationError) as exc_info:
+            lk.integrate(drift, np.array([1.0, 2.0]), 1.0, lk.SolverConfig(initial_step=0.1))
+        assert type(exc_info.value.time_reached) is float
+        assert exc_info.value.time_reached == 0.1
+        assert str(exc_info.value) == (
+            f"drift evaluation failed at t=0.1, state={calls[-1].tolist()}: singular"
+        )
+
+    def test_wrong_length_at_a_later_stage(self):
+        # numpy would broadcast the length-1 vector into the stage row silently
+        calls = []
+
+        def drift(y):
+            calls.append(y)
+            return -y if len(calls) < 6 else np.array([1.0])
+
+        with pytest.raises(DimensionMismatchError, match="wrong length"):
+            lk.integrate(drift, np.array([1.0, 2.0]), 1.0)
+        assert len(calls) == 6
+
+    def test_six_drift_calls_per_step(self):
+        # FSAL: a step reuses f at its start and ends with f(t+h, y_new)
+        calls = []
+
+        def drift(y):
+            calls.append(y)
+            return -y
+
+        # no step of this run is rejected
+        traj = lk.integrate(drift, np.array([1.0, 2.0]), 3.0, lk.SolverConfig(initial_step=0.1))
+        assert len(traj.segments) > 5
+        assert len(calls) == 1 + 6 * len(traj.segments)
+        # the last call of each step evaluates the state the step ends at
+        np.testing.assert_array_equal(np.array(calls[6::6]), traj.states[1:])
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             lk.integrate(lambda y: -y, np.array([1.0]), 0.0)
@@ -351,6 +399,29 @@ class TestStepLoopParity:
                 assert segment.y0.tobytes() == y0.tobytes()
                 assert segment.stages.tobytes() == stages.tobytes()
         assert underflows < len(systems) // 4
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_reduced_drift(self, rel_tol, tmp_path, rational3, rational3_perturbed, poly4):
+        # rows of `lumpkit lump --epsilon 0.1` on the bundled models, CLI seeds 0-3
+        config = lk.SolverConfig(rel_tol=rel_tol, abs_tol=1e-12)
+        for system in (rational3, rational3_perturbed, poly4):
+            name = system.name
+            for seed in range(4):
+                out = tmp_path / f"{name}-{seed}"
+                argv = ["lump", "--model", str(model_path(f"{name}.ode")), "--out", str(out)]
+                assert main(argv + ["--seed", str(seed), "--epsilon", "0.1"]) == 0
+                L = np.array(json.loads((out / "L.json").read_text())["matrix"])
+                drift = lk.build_reduced_drift(system, L)
+                x0, horizon = L @ system.initial_conditions[0], system.time_horizon
+                times, states, segments = reference_integrate(drift, x0, horizon, config)
+                traj = lk.integrate(drift, x0, horizon, config)
+                assert traj.times.tobytes() == times.tobytes()
+                assert traj.states.tobytes() == states.tobytes()
+                assert len(traj.segments) == len(segments)
+                for segment, (t0, h, y0, stages) in zip(traj.segments, segments):
+                    assert (segment.t0, segment.h) == (t0, h)
+                    assert segment.y0.tobytes() == y0.tobytes()
+                    assert segment.stages.tobytes() == stages.tobytes()
 
     @given(
         st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64),
@@ -684,6 +755,31 @@ class TestReductionReport:
 
 
 class TestCsvWriter:
+    def test_bytes_match_the_row_by_row_writer(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(5))
+        times = np.linspace(0.0, 7.0, 201)
+        columns = {
+            f"c{k}": rng.standard_normal(201) * 10.0 ** rng.integers(-300, 300, 201)
+            for k in range(4)
+        }
+        columns["ints"] = np.arange(201)
+        columns["special"] = np.array([-0.0, math.inf, -math.inf, math.nan, 5e-324] * 40 + [1.0])
+        path = tmp_path / "series.csv"
+        lk.write_series_csv(path, times, columns)
+        # the writer as it stood: one float() and one format() per entry
+        rows = [",".join(["t", *columns])]
+        for k, t in enumerate(times):
+            values = [t, *(column[k] for column in columns.values())]
+            rows.append(",".join(format(float(v), ".17g") for v in values))
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_column_lengths_checked_before_the_file_opens(self, tmp_path, length):
+        path = tmp_path / "series.csv"
+        with pytest.raises(DimensionMismatchError):
+            lk.write_series_csv(path, np.arange(3.0), {"a": np.ones(3), "b": np.ones(length)})
+        assert not path.exists()
+
     def test_exact_format(self, tmp_path):
         path = tmp_path / "series.csv"
         lk.write_series_csv(
