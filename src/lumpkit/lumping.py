@@ -9,7 +9,8 @@ The central routine is :func:`approximate_lump`: starting from the
 orthonormalized observable rows it sweeps each row against each basis
 Jacobian and appends the normalized defect whenever the row's image sticks
 out of the current row space by more than epsilon, checking each row
-against all basis matrices in one batch. :func:`epsilon_max` gives
+against all basis matrices in one batch; one pass over the growing row
+list is a fixpoint. :func:`epsilon_max` gives
 the smallest tolerance that collapses the result back to the observables
 alone, the lower end of ``valid_for`` at an infinite tolerance.
 :func:`find_epsilon` bisects between the two extremes to hit a target size
@@ -90,7 +91,8 @@ class RowProvenance:
 @dataclass(frozen=True)
 class TraceEvent:
     """One residual check of the sweep: row index against matrix index, the
-    measured distance, and whether a row was appended for it."""
+    measured distance, and whether a row was appended for it. The sweep makes
+    one pass, so ``sweep`` is always 1."""
 
     sweep: int
     row: int
@@ -196,8 +198,9 @@ def approximate_lump(
     order and basis matrices in index order; for each pair compute
     v = r @ J_i and its defect against the current row space. A defect larger
     than epsilon (or the float slack when epsilon is 0) appends the
-    normalized defect as a new row. New rows are swept within the same pass;
-    the sweep repeats until one full pass appends nothing.
+    normalized defect as a new row. New rows are swept in the same pass, and
+    one pass is a fixpoint: a defect measured against a larger row space is
+    never larger, and an appended image already lies in the span.
 
     Each row is checked against all basis matrices in one batch; after an
     append only the images not yet checked are projected again, against the
@@ -228,45 +231,39 @@ def approximate_lump(
     trace: list[TraceEvent] = []
     lo, hi = 0.0, math.inf
 
-    sweep = 0
-    appended_in_pass = True
-    while appended_in_pass:
-        appended_in_pass = False
-        sweep += 1
-        row = 0
-        while row < count:
-            V = L[row] @ basis.matrices
-            slack = ZERO_EPSILON_RTOL * np.linalg.norm(V, axis=1)
-            k0 = 0
-            while k0 < len(V):
-                # the images from k0 on are unchecked; every check before
-                # the first append among them is final as measured here
-                cur = L[:count]
-                defects = project_out(V[k0:], cur)
-                dist = np.linalg.norm(defects, axis=1)
-                n = len(dist)
-                if count < m:
-                    over = np.flatnonzero(dist > np.fmax(epsilon, slack[k0:]))
-                    n = int(over[0]) if len(over) else n
-                    lo = float(np.max(dist[:n], where=dist[:n] > slack[k0 : k0 + n], initial=lo))
-                if record_trace:
-                    trace.extend(
-                        TraceEvent(sweep, row, k0 + j, float(dist[j]), j == n)
-                        for j in range(min(n + 1, len(dist)))
-                    )
-                if n == len(dist):
-                    break
-                k = k0 + n
-                distance = float(dist[n])
-                hi = min(hi, distance)
-                # one extra projection pass keeps the stack orthonormal
-                defect = project_out(defects[n], cur)
-                L[count] = defect / np.linalg.norm(defect)
-                count += 1
-                provenance.append(RowProvenance("appended", row, k, distance))
-                appended_in_pass = True
-                k0 = k + 1
-            row += 1
+    row = 0
+    while row < count:
+        V = L[row] @ basis.matrices
+        slack = ZERO_EPSILON_RTOL * np.linalg.norm(V, axis=1)
+        k0 = 0
+        while k0 < len(V):
+            # the images from k0 on are unchecked; every check before
+            # the first append among them is final as measured here
+            cur = L[:count]
+            defects = project_out(V[k0:], cur)
+            dist = np.linalg.norm(defects, axis=1)
+            n = len(dist)
+            if count < m:
+                over = np.flatnonzero(dist > np.fmax(epsilon, slack[k0:]))
+                n = int(over[0]) if len(over) else n
+                lo = float(np.max(dist[:n], where=dist[:n] > slack[k0 : k0 + n], initial=lo))
+            if record_trace:
+                trace.extend(
+                    TraceEvent(1, row, k0 + j, float(dist[j]), j == n)
+                    for j in range(min(n + 1, len(dist)))
+                )
+            if n == len(dist):
+                break
+            k = k0 + n
+            distance = float(dist[n])
+            hi = min(hi, distance)
+            # one extra projection pass keeps the stack orthonormal
+            defect = project_out(defects[n], cur)
+            L[count] = defect / np.linalg.norm(defect)
+            count += 1
+            provenance.append(RowProvenance("appended", row, k, distance))
+            k0 = k + 1
+        row += 1
 
     return LumpingMatrix(
         matrix=L[:count].copy(),

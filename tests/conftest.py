@@ -129,6 +129,39 @@ def random_polynomial_model(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def phosphorylation_model(n: int, delta: float = 0.0, seed: int = 0) -> str:
+    """Model text for multisite phosphorylation at n sites (Feret et al.,
+    PNAS 2009): the 2^n phosphoforms p<S>, bit i of S set when site i is
+    phosphorylated, and a kinase e. Mass action p<S> + e -> p<S+i> + e at
+    k_i and p<S> -> p<S-i> at d_i, and e' = 1 - e - 0.1 e sum (n - |S|) p<S>.
+    Rates are k_i = 1 and d_i = 0.5, each perturbed by delta * U(-1, 1)
+    from a seeded generator. p0 starts at 1, the other forms at 0, e at
+    0.5; the observable is e. At delta = 0 the exact reduction has 3 rows."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k = (1.0 + delta * rng.uniform(-1.0, 1.0, n)).tolist()
+    d = (0.5 + delta * rng.uniform(-1.0, 1.0, n)).tolist()
+    forms = range(2**n)
+    gain: dict[int, list[str]] = {s: [] for s in forms}
+    loss: dict[int, list[str]] = {s: [] for s in forms}
+    for s in forms:
+        for i in range(n):
+            if s >> i & 1:
+                flux, target = f"{d[i]!r}*p{s}", s & ~(1 << i)
+            else:
+                flux, target = f"{k[i]!r}*p{s}*e", s | 1 << i
+            loss[s].append(flux)
+            gain[target].append(flux)
+    names = [f"p{s}" for s in forms] + ["e"]
+    lines = [f"model phospho{n}", "var " + ", ".join(names)]
+    for s in forms:
+        lines.append(f"eq p{s} = " + " + ".join(gain[s]) + " - " + " - ".join(loss[s]))
+    uptake = " + ".join(f"{n - s.bit_count()}*p{s}" for s in forms if s != 2**n - 1)
+    lines.append(f"eq e = 1 - e - 0.1*e*({uptake})")
+    lines += [f"init p{s} = {1 if s == 0 else 0}" for s in forms]
+    lines += ["init e = 0.5", "obs e", "horizon 5"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def random_corpus():
     """20 deterministic random polynomial systems with sampled bases.
