@@ -187,7 +187,7 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
     given, once that many consecutive candidates are dependent; candidates
     after that are never drawn."""
     cap = system_dim * system_dim
-    Q = np.empty((0, cap))
+    stack = np.empty((min(cap, 4 * system_dim), cap))
     mats: list[np.ndarray] = []
     pts: list[np.ndarray | None] = []
     dependent_run = 0
@@ -196,10 +196,13 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
             raise DimensionMismatchError("Jacobian sample has wrong shape")
         vec, _ = _scaled_flat(J)
         scale = float(np.linalg.norm(vec))
+        Q = stack[: len(mats)]
         r = project_out(project_out(vec, Q), Q)
         rnorm = float(np.linalg.norm(r))
         if scale > 0.0 and rnorm > RANK_RTOL * scale:
-            Q = np.vstack((Q, r / rnorm))
+            if len(mats) == len(stack):  # full: double it, up to the m^2 cap
+                stack = np.vstack((stack, np.empty_like(stack[: cap - len(stack)])))
+            stack[len(mats)] = r / rnorm
             mats.append(J)
             pts.append(None if point is None else _freeze(point))
             dependent_run = 0
@@ -211,7 +214,7 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
         state_dim=system_dim,
         matrices=_freeze(np.reshape(mats, (-1, system_dim, system_dim))),
         sample_points=tuple(pts),
-        ortho_flat=Q,
+        ortho_flat=stack[: len(mats)].copy(),
     )
 
 

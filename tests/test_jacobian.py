@@ -8,9 +8,9 @@ import pytest
 
 import lumpkit as lk
 from lumpkit.errors import DimensionMismatchError, EvaluationError, SamplingError
-from lumpkit.jacobian import _build_basis
+from lumpkit.jacobian import _build_basis, _scaled_flat, project_out
 
-from conftest import BIG_POWER, CANONICAL_POINTS, GOLDEN_J_PLAIN, NON_FINITE
+from conftest import BIG_POWER, CANONICAL_POINTS, GOLDEN_J_PLAIN, NON_FINITE, benchmark_workloads
 
 
 def per_point_basis(system, domain, initial_points=()):
@@ -211,6 +211,70 @@ class TestSampling:
             assert f[0] == np.inf and np.isfinite(J).all()
             basis = lk.sample_jacobian_basis(system, domain, [[2e4, 0.5], [1.0, 0.5]])
         np.testing.assert_array_equal(basis.sample_points[0], [1.0, 0.5])
+
+
+def vstack_basis(system_dim, candidates, confirmations=None):
+    """Test-only oracle: the rank test regrowing its orthonormal stack with
+    np.vstack on every accepted candidate."""
+    cap = system_dim * system_dim
+    Q = np.empty((0, cap))
+    mats, pts = [], []
+    dependent_run = 0
+    for J, point in candidates:
+        vec, _ = _scaled_flat(J)
+        scale = float(np.linalg.norm(vec))
+        r = project_out(project_out(vec, Q), Q)
+        rnorm = float(np.linalg.norm(r))
+        if scale > 0.0 and rnorm > lk.RANK_RTOL * scale:
+            Q = np.vstack((Q, r / rnorm))
+            mats.append(J)
+            pts.append(None if point is None else np.array(point, dtype=float))
+            dependent_run = 0
+        else:
+            dependent_run += 1
+        if len(mats) == cap or dependent_run == confirmations:
+            break
+    matrices = np.reshape(mats, (-1, system_dim, system_dim))
+    return lk.JacobianBasis(system_dim, matrices, tuple(pts), Q)
+
+
+class TestBasisStack:
+    """The rank test fills a preallocated stack of min(m^2, 4m) rows and
+    doubles it when full; the basis is the one a stack regrown on every
+    accepted candidate gives, bit for bit."""
+
+    @staticmethod
+    def assert_matches_vstack(monkeypatch, build, *args):
+        basis = build(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(lk.jacobian, "_build_basis", vstack_basis)
+            assert basis == build(*args)
+        assert basis.ortho_flat.shape == (basis.dimension, basis.state_dim**2)
+        assert basis.ortho_flat.base is None
+        return basis
+
+    @pytest.mark.parametrize("m", (5, 10))
+    def test_growth_past_the_initial_capacity(self, m, monkeypatch):
+        # m^2 random matrices with a dependent one after every fifth: at
+        # m = 10 the stack grows 40 -> 80 -> 100 rows, at m = 5 20 -> 25
+        rng = np.random.Generator(np.random.PCG64(m))
+        mats = list(rng.normal(size=(m * m, m, m)))
+        for i in range(5, len(mats) + len(mats) // 5, 6):
+            mats.insert(i, mats[i - 1] - 2.0 * mats[i - 3])
+        basis = self.assert_matches_vstack(monkeypatch, lk.basis_from_matrices, mats)
+        assert basis.dimension == m * m > min(m * m, 4 * m)
+
+    def test_sampled_bases(
+        self, rational3, rational3_perturbed, poly4, random_corpus, monkeypatch
+    ):
+        workloads = benchmark_workloads()
+        search = [lk.parse_model(workloads.rational_model_text(key)) for key in range(2)]
+        systems = [rational3, rational3_perturbed, poly4, *search]
+        systems += [system for system, _, _ in random_corpus]
+        for system in systems:
+            for seed in range(2):
+                domain = lk.default_domain(system, seed=seed)
+                self.assert_matches_vstack(monkeypatch, lk.sample_jacobian_basis, system, domain)
 
 
 class TestBlockSampling:
