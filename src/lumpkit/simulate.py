@@ -186,6 +186,10 @@ def _initial_step(drift, y0, f0, horizon, cfg: SolverConfig) -> float:
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = float(np.linalg.norm(y0 / scale)) / math.sqrt(y0.size)
     d1 = float(np.linalg.norm(f0 / scale)) / math.sqrt(y0.size)
+    if not math.isfinite(d0 + d1):  # h0 would be 0 or nan
+        raise IntegrationError(
+            f"first step guess overflows at t=0: scaled norms {d0!r}, {d1!r}", time_reached=0.0
+        )
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, horizon)
     f1 = _call_drift(drift, y0 + h0 * f0, h0)

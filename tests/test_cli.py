@@ -10,6 +10,8 @@ import pytest
 from lumpkit.cli import main
 from lumpkit.errors import MonotonicityError
 
+from conftest import NON_FINITE
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 RATIONAL3 = str(MODELS / "rational3.ode")
 PERTURBED = str(MODELS / "rational3_perturbed.ode")
@@ -271,6 +273,13 @@ class TestSimulate:
                     "--lumping", str(lpath), "--rel-tol", "1e-8"])
         assert code == 0
         assert read_json(out / "report.json")["e_max"] <= 1e-6
+
+    def test_overflowing_first_step_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "nonfinite.ode"
+        model.write_text(NON_FINITE)
+        assert run(["simulate", "--model", str(model), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith("error: first step guess overflows at t=0")
 
     def test_corrupt_lumping_file(self, tmp_path):
         lpath = tmp_path / "L.json"

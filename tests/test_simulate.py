@@ -261,6 +261,17 @@ class TestIntegrate:
             lk.integrate(drift, np.array(x0), 1.0, lk.SolverConfig(max_steps=10))
         assert exc_info.value.time_reached == 0.0
 
+    def test_overflowing_first_step_scale(self):
+        # f(x0) = 1e300 is finite, but divided by the error scale its norm
+        # overflows, which used to make the first step guess 0 and divide by it
+        system = lk.parse_model(NON_FINITE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(IntegrationError, match="first step guess overflows") as exc_info:
+                lk.integrate(lambda x: lk.evaluate_drift(system, x), np.array([1.0, 1.0]), 1.0)
+        assert exc_info.value.time_reached == 0.0
+        assert str(exc_info.value).endswith(", inf")
+
     def test_singular_drift_becomes_integration_error(self, rational3):
         with pytest.raises(IntegrationError):
             lk.integrate(
