@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError, SamplingError
-from .model import OdeSystem, evaluate_drift_dual
+from .model import OdeSystem, equal_values, evaluate_drift_dual, read_only
 
 __all__ = [
     "RANK_RTOL",
@@ -64,12 +64,14 @@ class SamplingDomain:
     max_resamples: int | None = None
     confirmations: int = 3
 
+    __eq__ = equal_values
+
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float).copy()
-        upper = np.asarray(self.upper, dtype=float).copy()
-        if lower.ndim != 1 or lower.shape != upper.shape:
+        object.__setattr__(self, "lower", read_only(self.lower))
+        object.__setattr__(self, "upper", read_only(self.upper))
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise DimensionMismatchError("domain bounds must be vectors of equal length")
-        if not np.all(lower < upper):
+        if not np.all(self.lower < self.upper):
             raise ValueError("domain requires lower < upper in every coordinate")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -77,20 +79,6 @@ class SamplingDomain:
             raise ValueError("max_resamples must be positive")
         if self.confirmations < 1:
             raise ValueError("confirmations must be positive")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    def __eq__(self, other):
-        if not isinstance(other, SamplingDomain):
-            return NotImplemented
-        return (
-            (self.seed, self.max_resamples, self.confirmations)
-            == (other.seed, other.max_resamples, other.confirmations)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-        )
 
     @property
     def dim(self) -> int:
@@ -124,22 +112,18 @@ class JacobianBasis:
     sample_points: tuple[np.ndarray | None, ...]
     ortho_flat: np.ndarray
 
+    __eq__ = equal_values
+
     def __post_init__(self):
+        m = self.state_dim
+        points = tuple(None if x is None else read_only(x) for x in self.sample_points)
+        object.__setattr__(self, "matrices", read_only(self.matrices).reshape(-1, m, m))
+        object.__setattr__(self, "sample_points", points)
+        object.__setattr__(self, "ortho_flat", read_only(self.ortho_flat))
         if len(self.matrices) != len(self.sample_points):
             raise DimensionMismatchError("one sample point slot per matrix required")
-        if self.ortho_flat.shape != (len(self.matrices), self.state_dim**2):
+        if self.ortho_flat.shape != (len(self.matrices), m * m):
             raise DimensionMismatchError("ortho_flat shape mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, JacobianBasis):
-            return NotImplemented
-        # np.array_equal(None, None) holds, and None equals no array
-        return (
-            self.state_dim == other.state_dim
-            and np.array_equal(self.matrices, other.matrices)
-            and all(map(np.array_equal, self.sample_points, other.sample_points))
-            and np.array_equal(self.ortho_flat, other.ortho_flat)
-        )
 
     @property
     def dimension(self) -> int:
@@ -174,12 +158,6 @@ def _scaled_flat(J: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(vec, -e), e
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=float).copy()
-    out.setflags(write=False)
-    return out
-
-
 def _build_basis(system_dim: int, candidates, confirmations: int | None = None) -> JacobianBasis:
     """Filter (J, point) candidates through the incremental rank test.
 
@@ -204,17 +182,14 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
                 stack = np.vstack((stack, np.empty_like(stack[: cap - len(stack)])))
             stack[len(mats)] = r / rnorm
             mats.append(J)
-            pts.append(None if point is None else _freeze(point))
+            pts.append(point)
             dependent_run = 0
         else:
             dependent_run += 1
         if len(mats) == cap or dependent_run == confirmations:
             break
     return JacobianBasis(
-        state_dim=system_dim,
-        matrices=_freeze(np.reshape(mats, (-1, system_dim, system_dim))),
-        sample_points=tuple(pts),
-        ortho_flat=stack[: len(mats)].copy(),
+        state_dim=system_dim, matrices=mats, sample_points=pts, ortho_flat=stack[: len(mats)]
     )
 
 

@@ -34,7 +34,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .jacobian import JacobianBasis, project_out
-from .model import OdeSystem, evaluate_drift
+from .model import OdeSystem, equal_values, evaluate_drift, read_only
 
 __all__ = [
     "ZERO_EPSILON_RTOL",
@@ -122,8 +122,10 @@ class LumpingMatrix:
     trace: tuple[TraceEvent, ...] | None = None
     valid_for: tuple[float, float] | None = None
 
+    __eq__ = equal_values
+
     def __post_init__(self):
-        L = np.atleast_2d(np.asarray(self.matrix, dtype=float)).copy()
+        L = np.atleast_2d(read_only(self.matrix))
         l, m = L.shape
         if not (1 <= self.observable_rank <= l <= m):
             raise DimensionMismatchError(
@@ -137,19 +139,9 @@ class LumpingMatrix:
             )
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
-        L.setflags(write=False)
         object.__setattr__(self, "matrix", L)
         if self.provenance and len(self.provenance) != l:
             raise DimensionMismatchError("one provenance entry per row required")
-
-    def __eq__(self, other):
-        if not isinstance(other, LumpingMatrix):
-            return NotImplemented
-        return (
-            (self.epsilon, self.observable_rank, self.provenance, self.trace, self.valid_for)
-            == (other.epsilon, other.observable_rank, other.provenance, other.trace, other.valid_for)
-            and np.array_equal(self.matrix, other.matrix)
-        )
 
     @classmethod
     def from_rows(cls, rows, epsilon: float = 0.0, observable_rank: int | None = None):
@@ -266,7 +258,7 @@ def approximate_lump(
         row += 1
 
     return LumpingMatrix(
-        matrix=L[:count].copy(),
+        matrix=L[:count],
         epsilon=epsilon,
         observable_rank=p,
         provenance=tuple(provenance),

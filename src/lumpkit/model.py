@@ -329,6 +329,30 @@ def _compile_drift(name: str, drift: Sequence[Expression]) -> Callable:
 # systems
 
 
+def read_only(values) -> np.ndarray:
+    """A read-only float copy of ``values``: how value types hold arrays."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def equal_values(a, b) -> bool:
+    """Field-by-field equality of two dataclass instances of one type that
+    hold arrays: arrays compare by ``np.array_equal``, tuples item by item,
+    anything else by ``==``. Value types use it as their ``__eq__``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def _equal(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(_equal, x, y))
+    return x == y
+
+
 @dataclass(frozen=True, eq=False)
 class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
@@ -348,26 +372,23 @@ class OdeSystem:
     time_horizon: float
     observables: np.ndarray
 
+    __eq__ = equal_values
+
     def __post_init__(self):
         object.__setattr__(self, "var_names", tuple(self.var_names))
         object.__setattr__(self, "drift", tuple(self.drift))
         m = len(self.var_names)
         if len(self.drift) != m:
             raise ModelValidationError("one drift expression per variable required")
-        inits = []
-        for x0 in self.initial_conditions:
-            arr = np.asarray(x0, dtype=float)
-            if arr.shape != (m,):
-                raise ModelValidationError("initial condition has wrong dimension")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            inits.append(arr)
+        inits = tuple(map(read_only, self.initial_conditions))
+        if any(x0.shape != (m,) for x0 in inits):
+            raise ModelValidationError("initial condition has wrong dimension")
         if not inits:
             raise ModelValidationError("at least one initial condition required")
-        object.__setattr__(self, "initial_conditions", tuple(inits))
+        object.__setattr__(self, "initial_conditions", inits)
         if not (0 < self.time_horizon < math.inf):
             raise ModelValidationError("time horizon must be positive and finite")
-        M = np.atleast_2d(np.asarray(self.observables, dtype=float)).copy()
+        M = np.atleast_2d(read_only(self.observables))
         p = M.shape[0]
         if M.shape[1] != m:
             raise ModelValidationError("observable matrix has wrong column count")
@@ -377,19 +398,7 @@ class OdeSystem:
             )
         if np.linalg.matrix_rank(M) != p:
             raise ModelValidationError("observable matrix is rank-deficient")
-        M.setflags(write=False)
         object.__setattr__(self, "observables", M)
-
-    def __eq__(self, other):
-        if not isinstance(other, OdeSystem):
-            return NotImplemented
-        return (
-            (self.name, self.var_names, self.drift, self.time_horizon)
-            == (other.name, other.var_names, other.drift, other.time_horizon)
-            and len(self.initial_conditions) == len(other.initial_conditions)
-            and all(map(np.array_equal, self.initial_conditions, other.initial_conditions))
-            and np.array_equal(self.observables, other.observables)
-        )
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,7 @@ on purpose: stiffness is reported (step underflow after repeated
 rejections), not worked around. The step loop builds its stage views once,
 makes six drift calls per step (the last, at the step's end, is the next
 step's first), keeps times in Python floats and never writes a state in
-place, so states and segments share its arrays.
+place, so it logs each state uncopied; the trajectory copies each log once.
 
 :func:`reduction_report` integrates the full and the reduced system side by
 side on a shared output grid and summarizes the observable error, the drift
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError, IntegrationError, PseudoinverseError
 from .jacobian import SamplingDomain, sample_jacobians
 from .lumping import LumpingMatrix, deviation
-from .model import OdeSystem, evaluate_drift, evaluate_drift_dual
+from .model import OdeSystem, equal_values, evaluate_drift, evaluate_drift_dual, read_only
 
 __all__ = [
     "SolverConfig",
@@ -106,25 +106,26 @@ class SolverConfig:
             raise ValueError("max_steps must be positive")
 
 
-@dataclass(frozen=True)
-class _Segment:
-    t0: float
-    h: float
-    y0: np.ndarray
-    stages: np.ndarray  # 7 x n
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Accepted solver steps plus a dense interpolant between them.
 
     ``times`` is strictly increasing, starts at 0 and ends exactly at the
-    requested horizon; ``states[k]`` is the state at ``times[k]``.
+    requested horizon; ``states[k]`` is the state at ``times[k]``. Step k
+    runs from ``times[k]`` over ``steps[k]``, with the ``(7, dim)`` drift
+    stages ``stages[k]``.
     """
 
     times: np.ndarray
     states: np.ndarray
-    segments: tuple[_Segment, ...]
+    steps: np.ndarray
+    stages: np.ndarray
+
+    __eq__ = equal_values
+
+    def __post_init__(self):
+        for name in ("times", "states", "steps", "stages"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def dim(self) -> int:
@@ -154,12 +155,11 @@ class Trajectory:
         X = self.states[k]
         inner = np.flatnonzero(ts != self.times[k])
         if inner.size:
-            segments = [self.segments[j] for j in k[inner].tolist()]
-            t0, h = np.array([(s.t0, s.h) for s in segments]).T
-            powers = ((ts[inner] - t0) / h)[:, None] ** np.arange(1, 5)
-            stages = np.array([s.stages for s in segments]).transpose(0, 2, 1)
-            y0 = np.array([s.y0 for s in segments])
-            X[inner] = y0 + h[:, None] * (stages @ (_P @ powers[..., None]))[..., 0]
+            j = k[inner]
+            h = self.steps[j]
+            powers = ((ts[inner] - self.times[j]) / h)[:, None] ** np.arange(1, 5)
+            stages = self.stages[j].transpose(0, 2, 1)
+            X[inner] = self.states[j] + h[:, None] * (stages @ (_P @ powers[..., None]))[..., 0]
         return X
 
 
@@ -231,7 +231,8 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
 
     times = [0.0]
     states = [y]
-    segments: list[_Segment] = []
+    steps: list[float] = []
+    stage_log: list[np.ndarray] = []
     stages = np.empty((7, n))
     heads = [stages[:s].T for s in range(8)]  # the first s stages, transposed
     abs_y = np.abs(y)
@@ -267,7 +268,8 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
         err = _rms(err_vec / scale)
 
         if err <= 1.0:
-            segments.append(_Segment(t, h, y, stages.copy()))
+            steps.append(h)
+            stage_log.append(stages.copy())
             t = horizon if final_step else t + h
             y = y_new
             abs_y = abs_new
@@ -283,9 +285,7 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
             rejected_streak += 1
         h = min(h * factor, cfg.max_step)
 
-    return Trajectory(
-        times=np.array(times), states=np.vstack(states), segments=tuple(segments)
-    )
+    return Trajectory(times=times, states=states, steps=steps, stages=stage_log)
 
 
 def build_reduced_drift(system: OdeSystem, L, Lbar=None) -> Callable[[np.ndarray], np.ndarray]:
@@ -361,7 +361,7 @@ def estimate_lipschitz(
     return 1.1 * float(np.max(np.linalg.norm(jacobians, 2, axis=(1, 2))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionReport:
     """Side-by-side comparison of a system and its reduction on one grid.
 
@@ -384,6 +384,12 @@ class ReductionReport:
     lipschitz_constant: float
     bound: float
     bound_satisfied: bool
+
+    __eq__ = equal_values
+
+    def __post_init__(self):
+        for name in ("times", "original_states", "reduced_states", "errors", "deviations"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def to_json_dict(self) -> dict:
         return {

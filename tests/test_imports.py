@@ -1,7 +1,15 @@
-"""Static checks on the imports of the package modules."""
+"""Static checks on the imports and the value types of the package modules."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
+import sys
+import types
 from pathlib import Path
+
+import lumpkit
+from lumpkit.model import DualVector, equal_values
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lumpkit"
 
@@ -80,3 +88,50 @@ def test_no_private_imports_in_package():
     assert paths, f"no modules found under {PACKAGE}"
     found = {path.name: private_imports(path.read_text()) for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def array_records_without_equal_values(module) -> list[str]:
+    """Dataclasses defined in ``module`` with a field annotated ``np.ndarray``
+    whose ``__eq__`` is not :func:`~lumpkit.model.equal_values`. DualVector is
+    exempt: it is an arithmetic operand, not a record."""
+    return [
+        name
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+        and any("np.ndarray" in str(field.type) for field in dataclasses.fields(obj))
+        and obj.__eq__ is not equal_values
+        and obj is not DualVector
+    ]
+
+
+def test_array_records_without_equal_values_are_found(monkeypatch):
+    module = types.ModuleType("records")
+    monkeypatch.setitem(sys.modules, "records", module)  # dataclass looks its module up
+    source = (
+        "from __future__ import annotations\n"
+        "from dataclasses import dataclass\n"
+        "import numpy as np\n"
+        "from lumpkit.model import equal_values\n"
+        "@dataclass(frozen=True)\n"
+        "class Plain:\n"
+        "    values: tuple[np.ndarray, ...]\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Ruled:\n"
+        "    values: np.ndarray\n"
+        "    __eq__ = equal_values\n"
+        "@dataclass(frozen=True)\n"
+        "class Scalar:\n"
+        "    value: float\n"
+    )
+    exec(source, vars(module))
+    assert array_records_without_equal_values(module) == ["Plain"]
+
+
+def test_array_records_compare_by_equal_values():
+    names = [info.name for info in pkgutil.iter_modules(lumpkit.__path__)]
+    assert "simulate" in names, f"no modules found in {lumpkit.__path__}"
+    modules = [importlib.import_module(f"lumpkit.{name}") for name in names]
+    found = {module.__name__: array_records_without_equal_values(module) for module in modules}
+    assert {name: records for name, records in found.items() if records} == {}

@@ -354,6 +354,13 @@ class TestSamplingDomain:
         assert domain != lk.SamplingDomain(lower=np.zeros(2), upper=np.full(2, 2.0), seed=3)
         assert domain != lk.SamplingDomain(lower=np.zeros(3), upper=np.ones(3), seed=3)
 
+    def test_bounds_are_read_only(self):
+        lower = np.zeros(2)
+        domain = lk.SamplingDomain(lower=lower, upper=np.ones(2))
+        assert not (domain.lower.flags.writeable or domain.upper.flags.writeable)
+        lower[0] = -1.0  # a copy, not a view of the caller's array
+        assert domain.lower[0] == 0.0
+
 
 class TestExplicitBases:
     def test_dependent_matrices_are_filtered(self):
@@ -393,6 +400,16 @@ class TestExplicitBases:
             assert not basis.matrices.flags.writeable
         assert bases[2].dimension == 2
         assert bases[3].matrices.shape == (0, 3, 3)
+
+    def test_every_array_is_read_only(self, rational3):
+        bases = [
+            lk.sample_jacobian_basis(rational3, lk.default_domain(rational3)),
+            lk.basis_from_points(rational3, CANONICAL_POINTS),
+            lk.basis_from_matrices([GOLDEN_J_PLAIN[0]], sample_points=[np.ones(3)]),
+        ]
+        for basis in bases:
+            arrays = [basis.matrices, basis.ortho_flat, *basis.sample_points]
+            assert not any(values.flags.writeable for values in arrays)
 
     def test_to_json_dict_schema(self, worked_basis):
         payload = worked_basis.to_json_dict()

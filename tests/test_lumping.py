@@ -85,9 +85,10 @@ class TestLumpingMatrix:
             reference_lump.pseudoinverse, reference_lump.matrix.T
         )
 
-    def test_matrix_is_read_only(self, reference_lump):
+    def test_matrix_is_read_only(self, reference_lump, worked_basis):
         with pytest.raises(ValueError):
             reference_lump.matrix[0, 0] = 2.0
+        assert not lk.approximate_lump(worked_basis, OBS_X1, 0.2).matrix.flags.writeable
 
     def test_equality_compares_arrays_by_value(self, worked_basis):
         rows = np.eye(3)[:2]

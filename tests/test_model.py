@@ -118,6 +118,10 @@ class TestParsing:
         assert other != poly4
         assert poly4 != text
 
+    def test_arrays_are_read_only(self, poly4):
+        for values in (*poly4.initial_conditions, poly4.observables):
+            assert not values.flags.writeable
+
     @pytest.mark.parametrize(
         "body, fragment",
         [

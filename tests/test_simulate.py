@@ -1,5 +1,6 @@
 """Adaptive integrator, reduced systems, error bounds, and reports."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -61,14 +62,14 @@ def per_point_sample(traj, times):
         if not (0.0 <= t <= traj.horizon):
             raise ValueError(f"time {t} outside [0, {traj.horizon}]")
         k = int(np.searchsorted(traj.times, t, side="right") - 1)
-        if k >= len(traj.segments):
+        if k >= len(traj.steps):
             rows.append(traj.states[-1].copy())
         elif t == traj.times[k]:
             rows.append(traj.states[k].copy())
         else:
-            segment = traj.segments[k]
-            powers = ((t - segment.t0) / segment.h) ** np.arange(1, 5)
-            rows.append(segment.y0 + segment.h * (segment.stages.T @ (_P @ powers)))
+            t0, h = float(traj.times[k]), float(traj.steps[k])
+            powers = ((t - t0) / h) ** np.arange(1, 5)
+            rows.append(traj.states[k] + h * (traj.stages[k].T @ (_P @ powers)))
     return np.array(rows).reshape(-1, traj.dim)
 
 
@@ -140,6 +141,19 @@ def reference_integrate(drift, x0, horizon, cfg):
             rejected_streak += 1
         h = min(h * factor, cfg.max_step)
     return np.array(times), np.vstack(states), segments
+
+
+def assert_same_steps(traj, times, states, segments):
+    """traj has the bits of a reference_integrate run: every time, state,
+    step size and stage."""
+    t0s, hs, y0s, stages = zip(*segments)
+    # each reference step starts at the time and state before it, as steps and stages assume
+    assert np.array(t0s).tobytes() == times[:-1].tobytes()
+    assert np.array(y0s).tobytes() == states[:-1].tobytes()
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.steps.tobytes() == np.array(hs).tobytes()
+    assert traj.stages.tobytes() == np.array(stages).tobytes()
 
 
 def oscillator_chain(seed: int, m: int = 10) -> lk.OdeSystem:
@@ -339,8 +353,8 @@ class TestIntegrate:
 
         # no step of this run is rejected
         traj = lk.integrate(drift, np.array([1.0, 2.0]), 3.0, lk.SolverConfig(initial_step=0.1))
-        assert len(traj.segments) > 5
-        assert len(calls) == 1 + 6 * len(traj.segments)
+        assert len(traj.steps) > 5
+        assert len(calls) == 1 + 6 * len(traj.steps)
         # the last call of each step evaluates the state the step ends at
         np.testing.assert_array_equal(np.array(calls[6::6]), traj.states[1:])
 
@@ -377,10 +391,26 @@ class TestIntegrate:
             with pytest.raises(ValueError):
                 lk.SolverConfig(**kwargs)
 
+    def test_equality_compares_arrays_by_value(self):
+        def rotation(horizon):
+            return lk.integrate(lambda y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), horizon)
+
+        traj = rotation(3.0)
+        assert traj == rotation(3.0)
+        assert traj != rotation(2.0)
+        assert traj != dataclasses.replace(traj, stages=traj.stages * 2.0)
+
+    def test_arrays_are_read_only(self):
+        traj = lk.integrate(lambda y: -y, np.array([1.0, 2.0]), 1.0)
+        assert traj.steps.shape == (traj.times.size - 1,)
+        assert traj.stages.shape == (traj.steps.size, 7, 2)
+        for field in dataclasses.fields(traj):
+            assert not getattr(traj, field.name).flags.writeable
+
 
 class TestStepLoopParity:
     """integrate matches the untrimmed step loop of reference_integrate bit
-    for bit: every time, state and dense-output segment."""
+    for bit: every time, state, step size and stage."""
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
     def test_models(self, rel_tol, rational3, rational3_perturbed, poly4, random_corpus):
@@ -400,15 +430,7 @@ class TestStepLoopParity:
                 assert exc_info.value.time_reached == exc.time_reached
                 underflows += 1
                 continue
-            traj = lk.integrate(drift, x0, horizon, config)
-            assert traj.times.tobytes() == times.tobytes()
-            assert traj.states.tobytes() == states.tobytes()
-            assert len(traj.segments) == len(segments)
-            for segment, (t0, h, y0, stages) in zip(traj.segments, segments):
-                assert (segment.t0, segment.h) == (t0, h)
-                assert type(segment.t0) is float and type(segment.h) is float
-                assert segment.y0.tobytes() == y0.tobytes()
-                assert segment.stages.tobytes() == stages.tobytes()
+            assert_same_steps(lk.integrate(drift, x0, horizon, config), times, states, segments)
         assert underflows < len(systems) // 4
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
@@ -426,13 +448,7 @@ class TestStepLoopParity:
                 x0, horizon = L @ system.initial_conditions[0], system.time_horizon
                 times, states, segments = reference_integrate(drift, x0, horizon, config)
                 traj = lk.integrate(drift, x0, horizon, config)
-                assert traj.times.tobytes() == times.tobytes()
-                assert traj.states.tobytes() == states.tobytes()
-                assert len(traj.segments) == len(segments)
-                for segment, (t0, h, y0, stages) in zip(traj.segments, segments):
-                    assert (segment.t0, segment.h) == (t0, h)
-                    assert segment.y0.tobytes() == y0.tobytes()
-                    assert segment.stages.tobytes() == stages.tobytes()
+                assert_same_steps(traj, times, states, segments)
 
     @given(
         st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64),
@@ -729,6 +745,22 @@ class TestReductionReport:
     def test_bound_dominates_errors(self, perturbed_report):
         assert perturbed_report.bound_satisfied
         assert np.all(perturbed_report.errors <= perturbed_report.bound)
+
+    def test_equality_compares_arrays_by_value(
+        self, perturbed_report, rational3_perturbed, reference_lump
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            again = lk.reduction_report(rational3_perturbed, reference_lump)
+        assert perturbed_report == again
+        assert perturbed_report != dataclasses.replace(again, errors=again.errors + 1.0)
+        assert perturbed_report != dataclasses.replace(again, eta=2 * again.eta)
+
+    def test_arrays_are_read_only(self, perturbed_report):
+        arrays = [getattr(perturbed_report, field.name) for field in dataclasses.fields(perturbed_report)]
+        arrays = [values for values in arrays if isinstance(values, np.ndarray)]
+        assert len(arrays) == 5
+        assert not any(values.flags.writeable for values in arrays)
 
     def test_json_schema(self, perturbed_report):
         payload = perturbed_report.to_json_dict()
