@@ -184,8 +184,9 @@ def _call_drift(drift, y: np.ndarray, t: float) -> np.ndarray:
 def _initial_step(drift, y0, f0, horizon, cfg: SolverConfig) -> float:
     """Standard two-probe guess for the first step size."""
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = float(np.linalg.norm(y0 / scale)) / math.sqrt(y0.size)
-    d1 = float(np.linalg.norm(f0 / scale)) / math.sqrt(y0.size)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        d0 = float(np.linalg.norm(y0 / scale)) / math.sqrt(y0.size)
+        d1 = float(np.linalg.norm(f0 / scale)) / math.sqrt(y0.size)
     if not math.isfinite(d0 + d1):  # h0 would be 0 or nan
         raise IntegrationError(
             f"first step guess overflows at t=0: scaled norms {d0!r}, {d1!r}", time_reached=0.0

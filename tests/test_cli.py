@@ -22,8 +22,12 @@ REFERENCE_PROJECTOR = np.array(
 
 
 def run(argv):
+    """main(argv) with the two RuntimeWarnings lumpkit issues on purpose
+    ignored and any other RuntimeWarning raised as an error."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "error bound overflows", RuntimeWarning)
+        warnings.filterwarnings("ignore", "observed error exceeds", RuntimeWarning)
         return main(argv)
 
 
