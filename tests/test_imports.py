@@ -1,4 +1,4 @@
-"""Static checks on the imports and the value types of the package modules."""
+"""Checks on the imports and the value types of the package modules."""
 
 import ast
 import dataclasses
@@ -100,7 +100,7 @@ def array_records_without_equal_values(module) -> list[str]:
         if isinstance(obj, type)
         and dataclasses.is_dataclass(obj)
         and obj.__module__ == module.__name__
-        and any("np.ndarray" in str(field.type) for field in dataclasses.fields(obj))
+        and any("ndarray" in str(field.type) for field in dataclasses.fields(obj))
         and obj.__eq__ is not equal_values
         and obj is not DualVector
     ]
