@@ -7,10 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lumpkit as lk
 from lumpkit.errors import EvaluationError, ModelSyntaxError, ModelValidationError
-from lumpkit.model import Add, Constant, Div, Mul, Variable
+from lumpkit.model import Add, Constant, Div, IntPow, Mul, Neg, Sub, Variable
 
 from conftest import (
     BIG_POWER,
@@ -27,6 +28,173 @@ def two_var(body: str) -> str:
         f"{body}\n"
         "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
     )
+
+
+# lines 1-8: model, var, eq a, eq b, init a, init b, obs, horizon
+VALID = two_var("eq a = b\neq b = a")
+
+
+def variant(old: str, new: str) -> str:
+    """VALID with its one occurrence of ``old`` replaced by ``new``."""
+    assert VALID.count(old) == 1
+    return VALID.replace(old, new)
+
+
+# one row per ModelSyntaxError raise site of parse_model:
+# (model text, message, line, column)
+SYNTAX_ERRORS = {
+    "unexpected_character": (
+        variant("eq a = b", "eq a = b $ 1"),
+        "unexpected character '$'",
+        3,
+        10,
+    ),
+    "expected_directive": (
+        variant("obs a", "ob a"),
+        "expected a directive (eq, horizon, init, model, obs, var)",
+        7,
+        1,
+    ),
+    "directive_not_a_name": (
+        variant("obs a", "= a"),
+        "expected a directive (eq, horizon, init, model, obs, var)",
+        7,
+        1,
+    ),
+    "duplicate_model": (
+        variant("var a, b", "model other\nvar a, b"),
+        "duplicate model declaration",
+        2,
+        None,
+    ),
+    "model_name": (variant("model probe", "model 1"), "expected a model name", 1, 7),
+    "variable_name": (variant("var a, b", "var a, 2"), "expected a variable name", 2, 8),
+    "reserved_name": (variant("var a, b", "var a, b, obs"), "'obs' is reserved", 2, 11),
+    "duplicate_variable": (variant("var a, b", "var a, b, a"), "duplicate variable 'a'", 2, 11),
+    "expected_comma": (variant("var a, b", "var a b"), "expected ','", 2, 7),
+    "eq_undeclared": (
+        variant("eq a = b", "eq c = b"),
+        "equation for undeclared variable 'c'",
+        3,
+        4,
+    ),
+    "eq_target_not_a_name": (
+        variant("eq a = b", "eq 1 = b"),
+        "equation for undeclared variable '1'",
+        3,
+        4,
+    ),
+    "eq_duplicate": (variant("eq b = a", "eq a = a"), "duplicate equation for 'a'", 4, 4),
+    "init_undeclared": (
+        variant("init a = 1", "init c = 1"),
+        "initial value for undeclared variable 'c'",
+        5,
+        6,
+    ),
+    "init_duplicate": (
+        variant("init b = 1", "init a = 1"),
+        "duplicate initial value for 'a'",
+        6,
+        6,
+    ),
+    "expected_equals": (variant("eq a = b", "eq a b"), "expected '='", 3, 6),
+    "end_of_line": (variant("eq a = b", "eq a = b +"), "unexpected end of line", 3, None),
+    "trailing_token": (variant("eq a = b", "eq a = b c"), "unexpected trailing 'c'", 3, 10),
+    "undeclared_variable": (variant("eq a = b", "eq a = c"), "undeclared variable 'c'", 3, 8),
+    "init_variable": (variant("init a = 1", "init a = b"), "undeclared variable 'b'", 5, 10),
+    "horizon_variable": (variant("horizon 1", "horizon a"), "undeclared variable 'a'", 8, 9),
+    "unexpected_token": (variant("eq a = b", "eq a = *b"), "unexpected '*'", 3, 8),
+    "expected_paren": (variant("eq a = b", "eq a = (b b)"), "expected ')'", 3, 11),
+    "exponent_name": (
+        variant("eq a = b", "eq a = b^a"),
+        "exponent must be a non-negative integer literal",
+        3,
+        10,
+    ),
+    "exponent_fraction": (
+        variant("eq a = b", "eq a = b^1.5"),
+        "exponent must be a non-negative integer literal",
+        3,
+        10,
+    ),
+    "exponent_infinite": (
+        variant("eq a = b", "eq a = b^1e400"),
+        "exponent must be a non-negative integer literal",
+        3,
+        10,
+    ),
+    "literal_overflow": (
+        variant("eq a = b", "eq a = 1e400*b"),
+        "numeric literal 1e400 overflows to infinity",
+        3,
+        8,
+    ),
+    "fold_division": (
+        variant("eq a = b", "eq a = b + 1/(2-2)"),
+        "division by zero in constant expression",
+        3,
+        13,
+    ),
+    "fold_overflow": (
+        variant("eq a = b", "eq a = 10.0^400*b"),
+        "overflow in constant expression",
+        3,
+        12,
+    ),
+    "duplicate_horizon": (VALID + "horizon 2\n", "duplicate horizon", 9, None),
+    "missing_model": (variant("model probe\n", ""), "missing model declaration", None, None),
+    "missing_var": ("model probe\n", "missing var declaration", None, None),
+    "missing_equation": (variant("eq b = a\n", ""), "missing equation for 'b'", None, None),
+    "missing_init": (variant("init b = 1\n", ""), "missing initial value for 'b'", None, None),
+    "missing_horizon": (variant("horizon 1\n", ""), "missing horizon", None, None),
+    "missing_obs": (variant("obs a\n", ""), "at least one obs line required", None, None),
+    "nonlinear_obs": (
+        variant("obs a", "obs a*b"),
+        "observable must be linear in the state variables",
+        7,
+        None,
+    ),
+    "obs_constant_term": (
+        variant("obs a", "obs a + 1"),
+        "observable must have no constant term",
+        7,
+        None,
+    ),
+    "obs_without_variable": (
+        variant("obs a", "obs 0*a"),
+        "observable must involve at least one variable",
+        7,
+        None,
+    ),
+}
+
+# the characters of the model format, a character outside it, and line breaks
+MODEL_ALPHABET = "abdx1234567890 .eE+-*/^(),=#\t\n$"
+
+
+def mutate(text: str, edits) -> str:
+    """``text`` after each edit ``(kind, position, character)`` in turn:
+    insert or delete a character, or duplicate, drop or truncate a line."""
+    for kind, position, character in edits:
+        if kind == "insert":
+            at = position % (len(text) + 1)
+            text = text[:at] + character + text[at:]
+        elif kind == "delete" and text:
+            at = position % len(text)
+            text = text[:at] + text[at + 1 :]
+        elif kind in ("duplicate", "drop", "truncate"):
+            lines = text.splitlines()
+            if not lines:
+                continue
+            k = position % len(lines)
+            if kind == "duplicate":
+                lines.insert(k, lines[k])
+            elif kind == "drop":
+                del lines[k]
+            else:
+                lines[k] = lines[k][: position % (len(lines[k]) + 1)]
+            text = "\n".join(lines) + "\n"
+    return text
 
 
 def dual_inputs(x: np.ndarray) -> list:
@@ -240,6 +408,68 @@ class TestParsing:
     def test_unknown_directive_rejected(self):
         with pytest.raises(ModelSyntaxError, match="directive"):
             lk.parse_model("model m\nfoo bar\n")
+
+    def test_valid_base_text_parses(self):
+        assert lk.parse_model(VALID).var_names == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "text, message, line, column", SYNTAX_ERRORS.values(), ids=SYNTAX_ERRORS.keys()
+    )
+    def test_syntax_error_message_and_position(self, text, message, line, column):
+        with pytest.raises(ModelSyntaxError) as exc_info:
+            lk.parse_model(text)
+        if column is not None:
+            message = f"line {line}, column {column}: {message}"
+        elif line is not None:
+            message = f"line {line}: {message}"
+        assert str(exc_info.value) == message
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "expression, tree",
+        [
+            ("-b^2", Neg(IntPow(Variable(1), 2))),
+            ("b^2^3", IntPow(IntPow(Variable(1), 2), 3)),
+            ("a - b - 1", Sub(Sub(Variable(0), Variable(1)), Constant(1.0))),
+            ("a/b/2", Div(Div(Variable(0), Variable(1)), Constant(2.0))),
+            ("-a*b", Mul(Neg(Variable(0)), Variable(1))),
+        ],
+    )
+    def test_precedence_and_associativity(self, expression, tree):
+        system = lk.parse_model(variant("eq a = b", f"eq a = {expression}"))
+        assert system.drift[0] == tree
+
+    def test_init_and_horizon_fold_to_constants(self):
+        text = variant("init a = 1", "init a = 2/3").replace("horizon 1", "horizon 2^2")
+        system = lk.parse_model(text)
+        assert system.initial_conditions[0][0] == 2 / 3
+        assert system.time_horizon == 4.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["rational3.ode", "rational3_perturbed.ode", "poly4.ode"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "duplicate", "drop", "truncate"]),
+                st.integers(0, 10**6),
+                st.sampled_from(MODEL_ALPHABET),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_mutated_models_parse_or_raise_model_errors(self, name, edits):
+        text = mutate(model_path(name).read_text(), edits)
+        try:
+            assert isinstance(lk.parse_model(text), lk.OdeSystem)
+        except ModelValidationError:
+            pass
+        except ModelSyntaxError as exc:
+            lines = text.splitlines()
+            if exc.line is not None:
+                assert 1 <= exc.line <= len(lines)
+            if exc.column is not None:
+                assert 1 <= exc.column <= len(lines[exc.line - 1])
 
 
 class TestDriftEvaluation:
