@@ -13,7 +13,12 @@ or on duals whose values are ``(N,)`` arrays; every f and J they return has
 the bits of a one-point evaluation.
 
 Models can be built programmatically or parsed from a small line-oriented
-text format, see :func:`parse_model`.
+text format, see :func:`parse_model`. ``init`` and ``horizon`` take constant
+expressions. ``^`` binds tighter than unary minus and associates to the left:
+-x^2 is -(x^2) and x^2^3 is (x^2)^3. Operators over constants fold as they
+are parsed, so a constant zero divisor (``1/0``, ``2/(1-1)``) is a syntax
+error, while ``b/0`` parses and fails at evaluation. A syntax error names
+the line, and the column when a token is at fault.
 """
 
 from __future__ import annotations
@@ -528,174 +533,125 @@ def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
 _DIRECTIVES = {"model", "var", "eq", "init", "obs", "horizon"}
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<space>\s+)"
+    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]\w*)"
     r"|(?P<op>[+\-*/^(),=])"
     r"|(?P<bad>\S)"
 )
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+# the binary operators of each precedence level, loosest first
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    stripped = text.split("#", 1)[0]
-    tokens = []
-    pos = 0
-    while pos < len(stripped):
-        if stripped[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(stripped, pos)
-        if match is None or match.lastgroup == "bad":
-            raise ModelSyntaxError(
-                f"unexpected character {stripped[pos]!r}", line_no, pos + 1
-            )
-        tokens.append(_Token(match.lastgroup, match.group(), line_no, match.start() + 1))
-        pos = match.end()
-    return tokens
+class _Line:
+    """One line's ``(kind, text, column)`` tokens, read by recursive descent.
+    Precedence from loosest to tightest: additive, multiplicative, unary
+    minus, power. The power operator binds tighter than unary minus, so -x^2
+    means -(x^2); binary operators and ^ associate to the left, and exponents
+    must be non-negative integer literals. Every operator whose operands are
+    all constants folds to a :class:`Constant` as it is read."""
 
-
-class _TokenStream:
-    def __init__(self, tokens: list[_Token], line_no: int):
-        self.tokens = tokens
+    def __init__(self, text: str, line_no: int):
         self.line_no = line_no
+        self.tokens: list[tuple[str, str, int]] = []
         self.pos = 0
+        for match in _TOKEN_RE.finditer(text.split("#", 1)[0]):
+            kind, column = match.lastgroup, match.start() + 1
+            if kind == "bad":
+                self.fail(f"unexpected character {match.group()!r}", column)
+            if kind != "space":
+                self.tokens.append((kind, match.group(), column))
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ModelSyntaxError("unexpected end of line", self.line_no)
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "op" or tok.text != op:
-            raise ModelSyntaxError(f"expected {op!r}", tok.line, tok.column)
-        return tok
+    def fail(self, message: str, column: int | None = None):
+        raise ModelSyntaxError(message, self.line_no, column)
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos == len(self.tokens)
 
-    def require_end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ModelSyntaxError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
+    def op(self) -> str | None:
+        """The next token's text if it is an operator, else None."""
+        if self.at_end() or self.tokens[self.pos][0] != "op":
+            return None
+        return self.tokens[self.pos][1]
 
+    def next(self) -> tuple[str, str, int]:
+        if self.at_end():
+            self.fail("unexpected end of line")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-def _fold(node: Expression, op: _Token) -> Expression:
-    """``node`` evaluated to a :class:`Constant` when all of its expression
-    operands are constants, else ``node`` itself. A zero divisor or an
-    overflowing power is a :class:`ModelSyntaxError` at the operator ``op``."""
-    operands = [getattr(node, f.name) for f in fields(node)]
-    if not all(isinstance(v, Constant) for v in operands if isinstance(v, Expression)):
-        return node
-    try:
-        return Constant(node.evaluate(()))
-    except ZeroDivisionError:
-        message = "division by zero in constant expression"
-    except OverflowError:
-        message = "overflow in constant expression"
-    raise ModelSyntaxError(message, op.line, op.column)
+    def expect(self, op: str):
+        kind, text, column = self.next()
+        if (kind, text) != ("op", op):
+            self.fail(f"expected {op!r}", column)
 
+    def end(self):
+        if not self.at_end():
+            _, text, column = self.tokens[self.pos]
+            self.fail(f"unexpected trailing {text!r}", column)
 
-class _ExpressionParser:
-    """Recursive descent over one line. Precedence from loosest to tightest:
-    additive, multiplicative, unary minus, power. The power operator binds
-    tighter than unary minus, so -x^2 means -(x^2); exponents must be
-    non-negative integer literals."""
-
-    def __init__(self, stream: _TokenStream, var_index: dict[str, int]):
-        self.stream = stream
-        self.var_index = var_index
-
-    def parse(self) -> Expression:
-        node = self._additive()
+    def expression(self, var_index: dict[str, int], level: int = 0) -> Expression:
+        if level == len(_LEVELS):
+            return self.unary(var_index)
+        ops = _LEVELS[level]
+        node = self.expression(var_index, level + 1)
+        while self.op() in ops:
+            _, text, column = self.next()
+            node = self.fold(ops[text](node, self.expression(var_index, level + 1)), column)
         return node
 
-    def _additive(self) -> Expression:
-        node = self._multiplicative()
-        while True:
-            tok = self.stream.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
-                self.stream.next()
-                rhs = self._multiplicative()
-                node = _fold(Add(node, rhs) if tok.text == "+" else Sub(node, rhs), tok)
-            else:
-                return node
+    def constant(self) -> float:
+        # with no variables every identifier raises, and every operator over
+        # constants folds, so the expression is a Constant
+        return self.expression({}).value
 
-    def _multiplicative(self) -> Expression:
-        node = self._unary()
-        while True:
-            tok = self.stream.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "*/":
-                self.stream.next()
-                rhs = self._unary()
-                node = _fold(Mul(node, rhs) if tok.text == "*" else Div(node, rhs), tok)
-            else:
-                return node
+    def unary(self, var_index: dict[str, int]) -> Expression:
+        if self.op() == "-":
+            column = self.next()[2]
+            return self.fold(Neg(self.unary(var_index)), column)
+        node = self.atom(var_index)
+        while self.op() == "^":
+            column = self.next()[2]
+            kind, text, exponent_column = self.next()
+            exponent = float(text) if kind == "num" else math.nan
+            if not (math.isfinite(exponent) and exponent.is_integer()):
+                self.fail("exponent must be a non-negative integer literal", exponent_column)
+            node = self.fold(IntPow(node, int(exponent)), column)
+        return node
 
-    def _unary(self) -> Expression:
-        tok = self.stream.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.stream.next()
-            return _fold(Neg(self._unary()), tok)
-        return self._power()
-
-    def _power(self) -> Expression:
-        node = self._atom()
-        while True:
-            tok = self.stream.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "^":
-                self.stream.next()
-                exp_tok = self.stream.next()
-                if exp_tok.kind != "num":
-                    raise ModelSyntaxError(
-                        "exponent must be a non-negative integer literal",
-                        exp_tok.line,
-                        exp_tok.column,
-                    )
-                value = float(exp_tok.text)
-                if not math.isfinite(value) or value != int(value):
-                    raise ModelSyntaxError(
-                        "exponent must be a non-negative integer literal",
-                        exp_tok.line,
-                        exp_tok.column,
-                    )
-                node = _fold(IntPow(node, int(value)), tok)
-            else:
-                return node
-
-    def _atom(self) -> Expression:
-        tok = self.stream.next()
-        if tok.kind == "num":
-            value = float(tok.text)
+    def atom(self, var_index: dict[str, int]) -> Expression:
+        kind, text, column = self.next()
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                raise ModelSyntaxError(
-                    f"numeric literal {tok.text} overflows to infinity", tok.line, tok.column
-                )
+                self.fail(f"numeric literal {text} overflows to infinity", column)
             return Constant(value)
-        if tok.kind == "ident":
-            index = self.var_index.get(tok.text)
-            if index is None:
-                raise ModelSyntaxError(f"undeclared variable {tok.text!r}", tok.line, tok.column)
-            return Variable(index)
-        if tok.kind == "op" and tok.text == "(":
-            node = self._additive()
-            self.stream.expect_op(")")
+        if kind == "ident":
+            if text not in var_index:
+                self.fail(f"undeclared variable {text!r}", column)
+            return Variable(var_index[text])
+        if text != "(":
+            self.fail(f"unexpected {text!r}", column)
+        node = self.expression(var_index)
+        self.expect(")")
+        return node
+
+    def fold(self, node: Expression, column: int) -> Expression:
+        """``node`` evaluated to a :class:`Constant` when all of its expression
+        operands are constants, else ``node`` itself. A zero divisor or an
+        overflowing power is a :class:`ModelSyntaxError` at the operator's
+        ``column``."""
+        operands = [getattr(node, name) for name in node.__slots__]
+        if not all(isinstance(v, Constant) for v in operands if isinstance(v, Expression)):
             return node
-        raise ModelSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        try:
+            return Constant(node.evaluate(()))
+        except ZeroDivisionError:
+            message = "division by zero in constant expression"
+        except OverflowError:
+            message = "overflow in constant expression"
+        self.fail(message, column)
 
 
 class _NonlinearObservable(Exception):
@@ -749,13 +705,6 @@ def _linear_coefficients(expr: Expression, m: int) -> tuple[np.ndarray, float]:
     raise _NonlinearObservable
 
 
-def _parse_constant(stream: _TokenStream, what: str) -> float:
-    expr = _ExpressionParser(stream, {}).parse()
-    if not isinstance(expr, Constant):
-        raise ModelSyntaxError(f"{what} must be a numeric constant", stream.line_no)
-    return expr.value
-
-
 def parse_model(text: str) -> OdeSystem:
     """Parse the line-oriented model format.
 
@@ -764,9 +713,9 @@ def parse_model(text: str) -> OdeSystem:
         model <identifier>
         var <name> [, <name> ...]
         eq <name> = <expression>
-        init <name> = <number>
+        init <name> = <constant expression>
         obs [=] <linear combination of variables>
-        horizon <number>
+        horizon <constant expression>
 
     Every variable needs exactly one ``eq`` and one ``init`` line; there is a
     single initial condition per file. Expressions use + - * / ^ ( ) with
@@ -775,103 +724,66 @@ def parse_model(text: str) -> OdeSystem:
     name: str | None = None
     var_names: list[str] = []
     var_index: dict[str, int] = {}
-    equations: dict[str, tuple[Expression, int]] = {}
+    equations: dict[str, Expression] = {}
     inits: dict[str, float] = {}
     obs_rows: list[tuple[Expression, int]] = []
     horizon: float | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
-        if not tokens:
+        line = _Line(raw, line_no)
+        if line.at_end():
             continue
-        head = tokens[0]
-        if head.kind != "ident" or head.text not in _DIRECTIVES:
-            raise ModelSyntaxError(
-                f"expected a directive ({', '.join(sorted(_DIRECTIVES))})",
-                head.line,
-                head.column,
-            )
-        stream = _TokenStream(tokens[1:], line_no)
-        directive = head.text
+        kind, directive, column = line.next()
+        if kind != "ident" or directive not in _DIRECTIVES:
+            line.fail(f"expected a directive ({', '.join(sorted(_DIRECTIVES))})", column)
 
         if directive == "model":
             if name is not None:
-                raise ModelSyntaxError("duplicate model declaration", line_no)
-            tok = stream.next()
-            if tok.kind != "ident":
-                raise ModelSyntaxError("expected a model name", tok.line, tok.column)
-            stream.require_end()
-            name = tok.text
+                line.fail("duplicate model declaration")
+            kind, name, column = line.next()
+            if kind != "ident":
+                line.fail("expected a model name", column)
         elif directive == "var":
             while True:
-                tok = stream.next()
-                if tok.kind != "ident":
-                    raise ModelSyntaxError("expected a variable name", tok.line, tok.column)
-                if tok.text in _DIRECTIVES:
-                    raise ModelSyntaxError(
-                        f"{tok.text!r} is reserved", tok.line, tok.column
-                    )
-                if tok.text in var_index:
-                    raise ModelSyntaxError(
-                        f"duplicate variable {tok.text!r}", tok.line, tok.column
-                    )
-                var_index[tok.text] = len(var_names)
-                var_names.append(tok.text)
-                if stream.at_end():
+                kind, var, column = line.next()
+                if kind != "ident":
+                    line.fail("expected a variable name", column)
+                if var in _DIRECTIVES:
+                    line.fail(f"{var!r} is reserved", column)
+                if var in var_index:
+                    line.fail(f"duplicate variable {var!r}", column)
+                var_index[var] = len(var_names)
+                var_names.append(var)
+                if line.at_end():
                     break
-                stream.expect_op(",")
-        elif directive == "eq":
-            tok = stream.next()
-            if tok.kind != "ident" or tok.text not in var_index:
-                raise ModelSyntaxError(
-                    f"equation for undeclared variable {tok.text!r}", tok.line, tok.column
-                )
-            if tok.text in equations:
-                raise ModelSyntaxError(
-                    f"duplicate equation for {tok.text!r}", tok.line, tok.column
-                )
-            stream.expect_op("=")
-            expr = _ExpressionParser(stream, var_index).parse()
-            stream.require_end()
-            equations[tok.text] = (expr, line_no)
-        elif directive == "init":
-            tok = stream.next()
-            if tok.kind != "ident" or tok.text not in var_index:
-                raise ModelSyntaxError(
-                    f"initial value for undeclared variable {tok.text!r}",
-                    tok.line,
-                    tok.column,
-                )
-            if tok.text in inits:
-                raise ModelSyntaxError(
-                    f"duplicate initial value for {tok.text!r}", tok.line, tok.column
-                )
-            stream.expect_op("=")
-            inits[tok.text] = _parse_constant(stream, "initial value")
-            stream.require_end()
+                line.expect(",")
+        elif directive in ("eq", "init"):
+            what, table = ("equation", equations) if directive == "eq" else ("initial value", inits)
+            kind, var, column = line.next()
+            if kind != "ident" or var not in var_index:
+                line.fail(f"{what} for undeclared variable {var!r}", column)
+            if var in table:
+                line.fail(f"duplicate {what} for {var!r}", column)
+            line.expect("=")
+            table[var] = line.expression(var_index) if directive == "eq" else line.constant()
         elif directive == "obs":
-            tok = stream.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "=":
-                stream.next()
-            expr = _ExpressionParser(stream, var_index).parse()
-            stream.require_end()
-            obs_rows.append((expr, line_no))
+            if line.op() == "=":
+                line.next()
+            obs_rows.append((line.expression(var_index), line_no))
         else:  # horizon
             if horizon is not None:
-                raise ModelSyntaxError("duplicate horizon", line_no)
-            horizon = _parse_constant(stream, "horizon")
-            stream.require_end()
+                line.fail("duplicate horizon")
+            horizon = line.constant()
+        line.end()
 
     if name is None:
         raise ModelSyntaxError("missing model declaration")
     if not var_names:
         raise ModelSyntaxError("missing var declaration")
-    missing_eq = [v for v in var_names if v not in equations]
-    if missing_eq:
-        raise ModelSyntaxError(f"missing equation for {missing_eq[0]!r}")
-    missing_init = [v for v in var_names if v not in inits]
-    if missing_init:
-        raise ModelSyntaxError(f"missing initial value for {missing_init[0]!r}")
+    for what, table in (("equation", equations), ("initial value", inits)):
+        missing = [v for v in var_names if v not in table]
+        if missing:
+            raise ModelSyntaxError(f"missing {what} for {missing[0]!r}")
     if horizon is None:
         raise ModelSyntaxError("missing horizon")
     if not obs_rows:
@@ -895,7 +807,7 @@ def parse_model(text: str) -> OdeSystem:
     return OdeSystem(
         name=name,
         var_names=tuple(var_names),
-        drift=tuple(equations[v][0] for v in var_names),
+        drift=tuple(equations[v] for v in var_names),
         initial_conditions=(np.array([inits[v] for v in var_names]),),
         time_horizon=horizon,
         observables=M,
