@@ -116,14 +116,17 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: Path, command: str, settings: dict, timings: dict):
+def _write_manifest(out: Path, args, timings: dict, **resolved):
+    """Write manifest.json: the command's flags as settings, with the values
+    the command resolved (the seed, a default horizon) in place of theirs."""
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     _write_json(
         out / "manifest.json",
         {
             "tool": "lumpkit",
             "version": __version__,
-            "command": command,
-            "settings": settings,
+            "command": args.command,
+            "settings": {**settings, **resolved},
             "timings": {k: round(v, 6) for k, v in timings.items()},
         },
     )
@@ -192,18 +195,7 @@ def _cmd_lump(args) -> int:
 
     _write_json(out / "basis.json", {"seed": seed, **basis.to_json_dict()})
     _write_json(out / "L.json", lump.to_json_dict())
-    _write_manifest(
-        out,
-        "lump",
-        {
-            "model": args.model,
-            "seed": seed,
-            "confirmations": args.confirmations,
-            "epsilon": args.epsilon,
-            "points": args.points,
-        },
-        phases.timings,
-    )
+    _write_manifest(out, args, phases.timings, seed=seed)
     ratio = args.epsilon / eps_mx if eps_mx > 0 else 0.0
     print(f"reduced size: {lump.dim} of {system.dim}")
     print(f"epsilon / epsilon_max: {ratio:.6g}")
@@ -243,18 +235,7 @@ def _cmd_find_epsilon(args) -> int:
         },
     )
     _write_json(out / "L.json", result.lump.to_json_dict())
-    _write_manifest(
-        out,
-        "find-epsilon",
-        {
-            "model": args.model,
-            "seed": seed,
-            "confirmations": args.confirmations,
-            "ratio": args.ratio,
-            "d_min": args.d_min,
-        },
-        phases.timings,
-    )
+    _write_manifest(out, args, phases.timings, seed=seed)
     print(f"epsilon: {result.epsilon:.17g}")
     print(f"reduced size: {result.lump.dim} of {system.dim}")
     print(f"iterations: {result.iterations}")
@@ -290,16 +271,6 @@ def _cmd_simulate(args) -> int:
     horizon = system.time_horizon if args.horizon is None else args.horizon
     x0 = system.initial_conditions[0]
 
-    settings = {
-        "model": args.model,
-        "seed": seed,
-        "horizon": horizon,
-        "rel_tol": args.rel_tol,
-        "abs_tol": args.abs_tol,
-        "grid": args.grid,
-        "lumping": args.lumping,
-    }
-
     if args.lumping is None:
         trajectory = integrate(lambda x: evaluate_drift(system, x), x0, horizon, config)
         ts = np.linspace(0.0, horizon, args.grid)
@@ -310,7 +281,7 @@ def _cmd_simulate(args) -> int:
             ts,
             {name: X[:, j] for j, name in enumerate(system.var_names)},
         )
-        _write_manifest(out, "simulate", settings, phases.timings)
+        _write_manifest(out, args, phases.timings, seed=seed, horizon=horizon)
         print(f"integrated to t={horizon:g} ({trajectory.times.size - 1} steps)")
         return 0
 
@@ -339,7 +310,7 @@ def _cmd_simulate(args) -> int:
     write_series_csv(out / "error.csv", report.times, {"error": report.errors})
     write_series_csv(out / "deviation.csv", report.times, {"deviation": report.deviations})
     _write_json(out / "report.json", report.to_json_dict())
-    _write_manifest(out, "simulate", settings, phases.timings)
+    _write_manifest(out, args, phases.timings, seed=seed, horizon=horizon)
     rel = "n/a" if report.e_rel_at_T is None else f"{report.e_rel_at_T:.6g}"
     print(f"e(T)={report.e_at_T:.6g} e_max={report.e_max:.6g} e_rel(T)={rel}")
     print(f"eta={report.eta:.6g} bound={report.bound:.6g}")
@@ -360,17 +331,7 @@ def _cmd_sweep(args) -> int:
         fh.write("epsilon,epsilon_over_epsilon_max,reduced_size\n")
         for eps, size in pairs:
             fh.write(f"{eps:.17g},{eps / eps_mx if eps_mx > 0 else 0.0:.17g},{size}\n")
-    _write_manifest(
-        out,
-        "sweep",
-        {
-            "model": args.model,
-            "seed": seed,
-            "confirmations": args.confirmations,
-            "grid": args.grid,
-        },
-        phases.timings,
-    )
+    _write_manifest(out, args, phases.timings, seed=seed)
     print(f"epsilon_max: {eps_mx:.17g}")
     print(f"sizes: {pairs[0][1]} down to {pairs[-1][1]} over {args.grid} tolerances")
     return 0
