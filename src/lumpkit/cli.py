@@ -145,7 +145,7 @@ class _Phases:
 
 def _load_json(path: str, kind: type, what: str):
     """The JSON value in ``path``; anything but a ``kind`` is a ValueError."""
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, kind):
         raise ValueError(f"{path}: expected {what}, got {type(data).__name__}")
     return data
@@ -173,7 +173,7 @@ def _start(args, sample: bool = True, points: str | None = None):
     out.mkdir(parents=True, exist_ok=True)
     phases = _Phases()
 
-    system = parse_model(Path(args.model).read_text())
+    system = parse_model(Path(args.model).read_text(encoding="utf-8"))
     phases.mark("parse")
     if not sample:
         return seed, out, phases, system, None
@@ -275,40 +275,27 @@ def _cmd_simulate(args) -> int:
         trajectory = integrate(lambda x: evaluate_drift(system, x), x0, horizon, config)
         ts = np.linspace(0.0, horizon, args.grid)
         X = trajectory.sample(ts)
-        phases.mark("integrate")
-        write_series_csv(
-            out / "original.csv",
-            ts,
-            {name: X[:, j] for j, name in enumerate(system.var_names)},
+    else:
+        lump = _load_lumping(args.lumping, system.dim)
+        report = reduction_report(
+            system, lump, x0=x0, horizon=horizon, config=config, grid_points=args.grid, seed=seed
         )
+        ts, X = report.times, report.original_states
+    phases.mark("integrate")
+
+    write_series_csv(
+        out / "original.csv", ts, {name: X[:, j] for j, name in enumerate(system.var_names)}
+    )
+    if args.lumping is None:
         _write_manifest(out, args, phases.timings, seed=seed, horizon=horizon)
         print(f"integrated to t={horizon:g} ({trajectory.times.size - 1} steps)")
         return 0
 
-    lump = _load_lumping(args.lumping, system.dim)
-    report = reduction_report(
-        system,
-        lump,
-        x0=x0,
-        horizon=horizon,
-        config=config,
-        grid_points=args.grid,
-        seed=seed,
-    )
-    phases.mark("integrate")
-
     write_series_csv(
-        out / "original.csv",
-        report.times,
-        {name: report.original_states[:, j] for j, name in enumerate(system.var_names)},
+        out / "reduced.csv", ts, {f"y{j + 1}": report.reduced_states[:, j] for j in range(lump.dim)}
     )
-    write_series_csv(
-        out / "reduced.csv",
-        report.times,
-        {f"y{j + 1}": report.reduced_states[:, j] for j in range(lump.dim)},
-    )
-    write_series_csv(out / "error.csv", report.times, {"error": report.errors})
-    write_series_csv(out / "deviation.csv", report.times, {"deviation": report.deviations})
+    write_series_csv(out / "error.csv", ts, {"error": report.errors})
+    write_series_csv(out / "deviation.csv", ts, {"deviation": report.deviations})
     _write_json(out / "report.json", report.to_json_dict())
     _write_manifest(out, args, phases.timings, seed=seed, horizon=horizon)
     rel = "n/a" if report.e_rel_at_T is None else f"{report.e_rel_at_T:.6g}"
@@ -318,19 +305,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Write the reduced size at ``--grid`` tolerances spread over [0, epsilon_max].
+    The last one is not swept: a sweep at epsilon_max keeps only the observable
+    rows (see :func:`~lumpkit.lumping.epsilon_max`)."""
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2")
     seed, out, phases, system, basis = _start(args)
 
     eps_mx = epsilon_max(basis, system.observables)
     grid = np.linspace(0.0, eps_mx, args.grid)
-    pairs = staircase(basis, system.observables, grid)
+    pairs = (*staircase(basis, system.observables, grid[:-1]), (eps_mx, len(system.observables)))
     phases.mark("sweep")
 
-    with open(out / "staircase.csv", "w", newline="") as fh:
-        fh.write("epsilon,epsilon_over_epsilon_max,reduced_size\n")
-        for eps, size in pairs:
-            fh.write(f"{eps:.17g},{eps / eps_mx if eps_mx > 0 else 0.0:.17g},{size}\n")
+    # every tolerance of the grid is 0 when epsilon_max is
+    table = [(eps, eps / (eps_mx or 1.0), size) for eps, size in pairs]
+    header = "epsilon,epsilon_over_epsilon_max,reduced_size"
+    path = out / "staircase.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="", encoding="utf-8")
     _write_manifest(out, args, phases.timings, seed=seed)
     print(f"epsilon_max: {eps_mx:.17g}")
     print(f"sizes: {pairs[0][1]} down to {pairs[-1][1]} over {args.grid} tolerances")

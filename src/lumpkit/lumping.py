@@ -368,7 +368,7 @@ def find_epsilon(
     result bit for bit.
     """
     M = np.atleast_2d(np.asarray(observables, dtype=float))
-    p = orthonormalize_rows(M).shape[0]
+    p = len(M)
     target = config.cutoff_size
     lump_at = _lumps_at(basis, M)
 

@@ -18,7 +18,9 @@ expressions. ``^`` binds tighter than unary minus and associates to the left:
 -x^2 is -(x^2) and x^2^3 is (x^2)^3. Operators over constants fold as they
 are parsed, so a constant zero divisor (``1/0``, ``2/(1-1)``) is a syntax
 error, while ``b/0`` parses and fails at evaluation. A syntax error names
-the line, and the column when a token is at fault.
+the line, and the column when a token is at fault. A line nested too deeply
+for Python's recursion limit is a syntax error too, and a drift too deep to
+compile raises :class:`ModelValidationError` at its first evaluation.
 """
 
 from __future__ import annotations
@@ -411,7 +413,10 @@ class OdeSystem:
 
     @cached_property
     def _drift_function(self) -> Callable:
-        return _compile_drift(self.name, self.drift)
+        try:
+            return _compile_drift(self.name, self.drift)
+        except RecursionError:
+            raise ModelValidationError(f"drift of {self.name} too deep to compile") from None
 
     def __getstate__(self):
         # the compiled function does not pickle; the copy compiles its own
@@ -729,52 +734,55 @@ def parse_model(text: str) -> OdeSystem:
     obs_rows: list[tuple[Expression, int]] = []
     horizon: float | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _Line(raw, line_no)
-        if line.at_end():
-            continue
-        kind, directive, column = line.next()
-        if kind != "ident" or directive not in _DIRECTIVES:
-            line.fail(f"expected a directive ({', '.join(sorted(_DIRECTIVES))})", column)
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = _Line(raw, line_no)
+            if line.at_end():
+                continue
+            kind, directive, column = line.next()
+            if kind != "ident" or directive not in _DIRECTIVES:
+                line.fail(f"expected a directive ({', '.join(sorted(_DIRECTIVES))})", column)
 
-        if directive == "model":
-            if name is not None:
-                line.fail("duplicate model declaration")
-            kind, name, column = line.next()
-            if kind != "ident":
-                line.fail("expected a model name", column)
-        elif directive == "var":
-            while True:
-                kind, var, column = line.next()
+            if directive == "model":
+                if name is not None:
+                    line.fail("duplicate model declaration")
+                kind, name, column = line.next()
                 if kind != "ident":
-                    line.fail("expected a variable name", column)
-                if var in _DIRECTIVES:
-                    line.fail(f"{var!r} is reserved", column)
-                if var in var_index:
-                    line.fail(f"duplicate variable {var!r}", column)
-                var_index[var] = len(var_names)
-                var_names.append(var)
-                if line.at_end():
-                    break
-                line.expect(",")
-        elif directive in ("eq", "init"):
-            what, table = ("equation", equations) if directive == "eq" else ("initial value", inits)
-            kind, var, column = line.next()
-            if kind != "ident" or var not in var_index:
-                line.fail(f"{what} for undeclared variable {var!r}", column)
-            if var in table:
-                line.fail(f"duplicate {what} for {var!r}", column)
-            line.expect("=")
-            table[var] = line.expression(var_index) if directive == "eq" else line.constant()
-        elif directive == "obs":
-            if line.op() == "=":
-                line.next()
-            obs_rows.append((line.expression(var_index), line_no))
-        else:  # horizon
-            if horizon is not None:
-                line.fail("duplicate horizon")
-            horizon = line.constant()
-        line.end()
+                    line.fail("expected a model name", column)
+            elif directive == "var":
+                while True:
+                    kind, var, column = line.next()
+                    if kind != "ident":
+                        line.fail("expected a variable name", column)
+                    if var in _DIRECTIVES:
+                        line.fail(f"{var!r} is reserved", column)
+                    if var in var_index:
+                        line.fail(f"duplicate variable {var!r}", column)
+                    var_index[var] = len(var_names)
+                    var_names.append(var)
+                    if line.at_end():
+                        break
+                    line.expect(",")
+            elif directive in ("eq", "init"):
+                what, table = ("equation", equations) if directive == "eq" else ("initial value", inits)
+                kind, var, column = line.next()
+                if kind != "ident" or var not in var_index:
+                    line.fail(f"{what} for undeclared variable {var!r}", column)
+                if var in table:
+                    line.fail(f"duplicate {what} for {var!r}", column)
+                line.expect("=")
+                table[var] = line.expression(var_index) if directive == "eq" else line.constant()
+            elif directive == "obs":
+                if line.op() == "=":
+                    line.next()
+                obs_rows.append((line.expression(var_index), line_no))
+            else:  # horizon
+                if horizon is not None:
+                    line.fail("duplicate horizon")
+                horizon = line.constant()
+            line.end()
+    except RecursionError:  # parentheses or unary minuses nest too deeply
+        raise ModelSyntaxError("expression nests too deeply", line_no) from None
 
     if name is None:
         raise ModelSyntaxError("missing model declaration")
@@ -798,6 +806,8 @@ def parse_model(text: str) -> OdeSystem:
             raise ModelSyntaxError(
                 "observable must be linear in the state variables", line_no
             ) from None
+        except RecursionError:
+            raise ModelSyntaxError("observable nests too deeply", line_no) from None
         if const != 0.0:
             raise ModelSyntaxError("observable must have no constant term", line_no)
         if not coeffs.any():

@@ -21,7 +21,6 @@ basis, and their spectral norms in one stacked call.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -489,15 +488,13 @@ def reduction_report(
 
 
 def write_series_csv(path, times, columns: dict[str, np.ndarray]):
-    """Write a time series as CSV with 17 significant digits, '.' decimal
-    separator and LF line endings. Column order: t, then the given columns, each
-    a vector as long as ``times`` (checked before the file is opened)."""
+    """Write a time series as UTF-8 CSV, one line per time and every number
+    as ``"%.17g"``: 17 significant digits, '.' decimal separator. Columns: t,
+    then the given ones, each as long as ``times`` (checked before opening)."""
     ts = np.asarray(times, dtype=float)
     series = [np.asarray(values, dtype=float) for values in columns.values()]
     if ts.ndim != 1 or any(values.shape != ts.shape for values in series):
         raise DimensionMismatchError("times and every column must be vectors of one length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", *columns])
-        rows = zip(ts.tolist(), *(values.tolist() for values in series))
-        writer.writerows([format(v, ".17g") for v in row] for row in rows)
+    table = np.column_stack([ts, *series])
+    header = ",".join(["t", *columns])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="", encoding="utf-8")

@@ -56,6 +56,16 @@ BIG_POWER = (
     "init a = 10\ninit b = 1\nobs b\nhorizon 1\n"
 )
 
+# models nested deeper than Python's recursion limit lets the parser, the
+# drift compiler or the observable reader go: 300 parenthesis pairs or a
+# 3,000-term drift sum on line 3, or a 3,000-term observable on line 7
+_SHALLOW = "model deep\nvar a, b\neq a = b\neq b = a\ninit a = 1\ninit b = 1\nobs a\nhorizon 1\n"
+DEEP_NESTING = {
+    "parentheses": _SHALLOW.replace("eq a = b", "eq a = " + "(" * 300 + "b" + ")" * 300),
+    "drift_sum": _SHALLOW.replace("eq a = b", "eq a = " + " + ".join(["b"] * 3000)),
+    "observable_sum": _SHALLOW.replace("obs a", "obs " + " + ".join(["a"] * 3000)),
+}
+
 # 1e300*a*a overflows to inf above a ~ 1.34e4, and its derivative above
 # a ~ 1.8e8, where inf times a zero partial puts a nan into J.
 NON_FINITE = (
@@ -102,6 +112,21 @@ def worked_basis() -> lk.JacobianBasis:
 @pytest.fixture(scope="session")
 def reference_lump() -> lk.LumpingMatrix:
     return lk.LumpingMatrix.from_rows(REFERENCE_ROWS, observable_rank=1)
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Tolerances of the real sweeps run through lk.lumping.approximate_lump,
+    in call order; the wrapper calls through to the sweep."""
+    original = lk.lumping.approximate_lump
+    log = []
+
+    def counting(basis, observables, epsilon, record_trace=False):
+        log.append(epsilon)
+        return original(basis, observables, epsilon, record_trace)
+
+    monkeypatch.setattr(lk.lumping, "approximate_lump", counting)
+    return log
 
 
 def random_polynomial_model(seed: int) -> str:

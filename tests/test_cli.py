@@ -1,16 +1,20 @@
 """End-to-end command line runs against the bundled models."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lumpkit as lk
 from lumpkit.cli import main
 from lumpkit.errors import MonotonicityError
 
-from conftest import NON_FINITE
+from conftest import DEEP_NESTING, NON_FINITE
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 RATIONAL3 = str(MODELS / "rational3.ode")
@@ -364,6 +368,27 @@ class TestSimulate:
                     "--confirmations", "3"]) == 1
         assert "--confirmations" in capsys.readouterr().err
 
+    def test_non_latin1_names_are_read_and_written_as_utf8(self, tmp_path):
+        # in a locale whose encoding is ASCII, so that only an explicit
+        # encoding gets xα through
+        model = tmp_path / "alpha.ode"
+        model.write_text(Path(RATIONAL3).read_text().replace("x1", "xα"), encoding="utf-8")
+        package_root = str(Path(lk.__file__).parent.parent)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env["PYTHONPATH"] = os.pathsep.join([package_root, env.get("PYTHONPATH", "")])
+        argv = ["simulate", "--model", str(model), "--out", str(tmp_path / "o")]
+        subprocess.run([sys.executable, "-m", "lumpkit.cli", *argv], env=env, check=True, timeout=120)
+        header = (tmp_path / "o" / "original.csv").read_bytes().split(b"\n")[0]
+        assert header.decode("utf-8") == "t,xα,x2,x3"
+
+    @pytest.mark.parametrize("name", DEEP_NESTING)
+    def test_deeply_nested_model_exits_1(self, tmp_path, capsys, name):
+        model = tmp_path / "deep.ode"
+        model.write_text(DEEP_NESTING[name])
+        assert run(["simulate", "--model", str(model), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_model_exits_3(self, tmp_path):
         assert run(["simulate", "--model", str(tmp_path / "nope.ode"),
                     "--out", str(tmp_path / "o")]) == 3
@@ -393,6 +418,21 @@ class TestSweep:
         assert float(rows[0][1]) == 0.0
         assert float(rows[-1][1]) == 1.0
         assert "epsilon_max:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", ["rational3", "rational3_perturbed", "poly4"])
+    def test_rows_are_the_staircase_of_the_whole_grid(self, tmp_path, sweep_log, model):
+        # the last row is not swept: a sweep at epsilon_max keeps the observables alone
+        path = str(MODELS / f"{model}.ode")
+        assert run(["sweep", "--model", path, "--out", str(tmp_path), "--grid", "50"]) == 0
+        swept = list(sweep_log)
+
+        system = lk.parse_model(Path(path).read_text())
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0, confirmations=3))
+        eps_mx = lk.epsilon_max(basis, system.observables)
+        pairs = lk.staircase(basis, system.observables, np.linspace(0.0, eps_mx, 50))
+        rows = [line.split(",") for line in (tmp_path / "staircase.csv").read_text().splitlines()]
+        assert [(float(e), int(size)) for e, _, size in rows[1:]] == list(pairs)
+        assert eps_mx not in swept
 
     def test_monotonicity_failure_exits_2(self, tmp_path, monkeypatch):
         import lumpkit.cli as cli_mod

@@ -382,6 +382,22 @@ class TestFindEpsilon:
             assert sweep_fixpoint_holds(basis, lump)
             assert second_pass_is_idle(basis, lump)
 
+    def test_bracket_below_float_resolution_ends_the_search(self, rational3_perturbed):
+        system = rational3_perturbed
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0, confirmations=3))
+        config = lk.EpsilonSearchConfig(cutoff_size=2, d_min=5e-324, max_iterations=5000)
+        result = lk.find_epsilon(basis, system.observables, config)
+        # the 61st midpoint rounds onto an end of a bracket of adjacent floats
+        assert result.iterations == 61 == len(result.history) + 1
+        lo = max((step.epsilon for step in result.history if step.size > 2), default=0.0)
+        assert np.nextafter(lo, math.inf) == result.epsilon
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
+    def test_dependent_observable_rows_rejected(self, worked_basis, cutoff):
+        config = lk.EpsilonSearchConfig(cutoff_size=cutoff)
+        with pytest.raises(RankDeficiencyError, match="row 1"):
+            lk.find_epsilon(worked_basis, np.vstack([OBS_X1, 2 * OBS_X1]), config)
+
     def test_iteration_cap(self, worked_basis):
         config = lk.EpsilonSearchConfig(cutoff_size=2, d_min=1e-12, max_iterations=3)
         with pytest.raises(ConvergenceError):
@@ -394,21 +410,6 @@ class TestFindEpsilon:
             lk.EpsilonSearchConfig(cutoff_size=1, d_min=0.0)
         with pytest.raises(ValueError):
             lk.EpsilonSearchConfig(cutoff_size=1, max_iterations=0)
-
-
-@pytest.fixture
-def sweep_log(monkeypatch):
-    """Tolerances of the real sweeps run through lk.lumping.approximate_lump,
-    in call order; the wrapper calls through to the sweep."""
-    original = lk.lumping.approximate_lump
-    log = []
-
-    def counting(basis, observables, epsilon, record_trace=False):
-        log.append(epsilon)
-        return original(basis, observables, epsilon, record_trace)
-
-    monkeypatch.setattr(lk.lumping, "approximate_lump", counting)
-    return log
 
 
 class TestFindEpsilonReuse:

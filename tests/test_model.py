@@ -15,6 +15,7 @@ from lumpkit.model import Add, Constant, Div, IntPow, Mul, Neg, Sub, Variable
 
 from conftest import (
     BIG_POWER,
+    DEEP_NESTING,
     NON_FINITE,
     benchmark_workloads,
     central_difference_jacobian,
@@ -351,6 +352,27 @@ class TestParsing:
         with pytest.raises(ModelSyntaxError, match="linear"):
             lk.parse_model(text)
 
+    @pytest.mark.parametrize(
+        "observable, row",
+        [
+            ("-(-a)", [1.0, 0.0]),
+            ("(a + b)/2", [0.5, 0.5]),
+            ("a*2", [2.0, 0.0]),
+            ("a^1", [1.0, 0.0]),
+            ("2^0*a", [1.0, 0.0]),
+            ("(2*a)^1", [2.0, 0.0]),
+        ],
+    )
+    def test_observable_forms(self, observable, row):
+        system = lk.parse_model(variant("obs a", f"obs {observable}"))
+        np.testing.assert_array_equal(system.observables, [row])
+
+    @pytest.mark.parametrize("observable", ["a/0", "a^2"])
+    def test_observable_over_zero_or_squared_rejected(self, observable):
+        with pytest.raises(ModelSyntaxError, match="observable must be linear") as exc_info:
+            lk.parse_model(variant("obs a", f"obs {observable}"))
+        assert exc_info.value.line == 7
+
     def test_observable_constant_term_rejected(self):
         text = (
             "model m\nvar a, b\neq a = b\neq b = a\n"
@@ -394,6 +416,20 @@ class TestParsing:
     def test_non_finite_horizon_rejected(self, rational3, horizon):
         with pytest.raises(ModelValidationError, match="horizon"):
             dataclasses.replace(rational3, time_horizon=horizon)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("drift", (Variable(0),), "one drift expression per variable"),
+            ("initial_conditions", ([1.0, 1.0],), "initial condition has wrong dimension"),
+            ("initial_conditions", (), "at least one initial condition"),
+            ("observables", [[1.0, 0.0]], "wrong column count"),
+        ],
+        ids=["drift_count", "initial_shape", "no_initial", "observable_columns"],
+    )
+    def test_system_invariants(self, rational3, field, value, message):
+        with pytest.raises(ModelValidationError, match=message):
+            dataclasses.replace(rational3, **{field: value})
 
     def test_missing_pieces_rejected(self):
         with pytest.raises(ModelSyntaxError, match="horizon"):
@@ -570,6 +606,12 @@ class TestDualNumbers:
         with pytest.raises(ZeroDivisionError):
             _ = u / z
 
+    def test_constant_zero_divisor_raises_evaluation_error(self):
+        system = lk.parse_model(two_var("eq a = b/0\neq b = a"))
+        for x in (np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]])):
+            with pytest.raises(EvaluationError, match="zero denominator evaluating da/dt"):
+                lk.evaluate_drift_dual(system, x)
+
     def test_dual_zero_denominator_raises_evaluation_error(self, rational3):
         with pytest.raises(EvaluationError):
             lk.evaluate_drift_dual(rational3, np.array([1.0, -3.0, 1.0]))
@@ -715,6 +757,12 @@ class TestBatchedDrift:
         assert (np.power(X, np.arange(2, 10)) != lk.evaluate_drift(system, X)).any()
         self.assert_block_matches_points(system, X)
 
+    def test_constant_over_an_expression(self):
+        # 1/(b - 1) divides a float by a column, through _Column.__rtruediv__
+        system = lk.parse_model(two_var("eq a = 1/(b - 1)\neq b = a"))
+        X = np.random.Generator(np.random.PCG64(6)).uniform(-2.0, 2.0, (50, 2))
+        self.assert_block_matches_points(system, X)
+
     def test_constant_components_broadcast(self):
         system = lk.parse_model(two_var("eq a = 2*4\neq b = -1.5"))
         X = np.arange(10.0).reshape(5, 2)
@@ -741,8 +789,9 @@ class TestBatchedDrift:
             ("eq a = b/(a - 1)\neq b = a/(b - 2)", [[0.5, 0.5], [2.0, 2.0], [1.0, 0.0]], [2.0, 2.0]),
             ("eq a = b/(a - 1)\neq b = a/(b - 2)", [[1.0, 0.0], [2.0, 2.0]], [1.0, 0.0]),
             ("eq a = b\neq b = a^400", [[1.0, 1.0], [10.0, 1.0], [20.0, 1.0]], [10.0, 1.0]),
+            ("eq a = 1/(b - 1)\neq b = a", [[0.5, 0.5], [0.0, 1.0], [2.0, 1.0]], [0.0, 1.0]),
         ],
-        ids=["later_component_first", "first_row", "power_overflow"],
+        ids=["later_component_first", "first_row", "power_overflow", "constant_over_a_column"],
     )
     def test_error_names_the_first_singular_row(self, body, block, first):
         system = lk.parse_model(two_var(body))
@@ -919,3 +968,30 @@ class TestCompiledDrift:
         f_ref, J_ref = lk.evaluate_drift_dual(rational3_perturbed, x)
         assert f_dual.tobytes() == f_ref.tobytes()
         assert J.tobytes() == J_ref.tobytes()
+
+
+class TestDeepNesting:
+    """Lines nested deeper than Python's recursion limit are model errors,
+    never a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [DEEP_NESTING["parentheses"], two_var("eq a = " + "-" * 3000 + "b\neq b = a")],
+        ids=["parentheses", "minuses"],
+    )
+    def test_nested_expression(self, text):
+        with pytest.raises(ModelSyntaxError, match="nests too deeply") as exc_info:
+            lk.parse_model(text)
+        assert exc_info.value.line == 3
+
+    def test_long_drift_sum(self):
+        # the parser reads a sum in a loop, but the drift compiler recurses
+        system = lk.parse_model(DEEP_NESTING["drift_sum"])
+        for evaluate in (lk.evaluate_drift, lk.evaluate_drift_dual):
+            with pytest.raises(ModelValidationError, match="drift of deep too deep to compile"):
+                evaluate(system, np.array([1.0, 2.0]))
+
+    def test_long_observable_sum(self):
+        with pytest.raises(ModelSyntaxError, match="observable nests too deeply") as exc_info:
+            lk.parse_model(DEEP_NESTING["observable_sum"])
+        assert exc_info.value.line == 7

@@ -286,6 +286,12 @@ class TestIntegrate:
         assert exc_info.value.time_reached == 0.0
         assert str(exc_info.value).endswith(", inf")
 
+    def test_flat_drift_first_step(self):
+        # no derivative scale to go by: the first step is the 1e-6 floor
+        traj = lk.integrate(np.zeros_like, np.array([1.0, -2.0]), 1.0)
+        assert traj.steps[0] == 1e-6
+        np.testing.assert_array_equal(traj.states[-1], [1.0, -2.0])
+
     def test_singular_drift_becomes_integration_error(self, rational3):
         with pytest.raises(IntegrationError):
             lk.integrate(
