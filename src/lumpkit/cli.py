@@ -38,7 +38,7 @@ from .lumping import (
     staircase,
 )
 from .model import evaluate_drift, parse_model
-from .simulate import SolverConfig, integrate, reduction_report, write_series_csv
+from .simulate import SolverConfig, integrate, reduction_report, write_series_csv, write_table
 
 class _UsageError(Exception):
     pass
@@ -60,10 +60,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--model", required=True, help="model file path")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="PRNG seed; falls back to LUMPKIT_SEED, then 0",
+        "--seed", type=int, default=None, help="PRNG seed; falls back to LUMPKIT_SEED, then 0"
     )
     sampling = argparse.ArgumentParser(add_help=False, parents=[common])
     sampling.add_argument(
@@ -75,9 +72,7 @@ def _build_parser() -> _Parser:
 
     p_lump = sub.add_parser("lump", help="reduce at a fixed tolerance", parents=[sampling])
     p_lump.add_argument("--epsilon", type=float, required=True)
-    p_lump.add_argument(
-        "--points", default=None, help="JSON file with explicit sample points"
-    )
+    p_lump.add_argument("--points", default=None, help="JSON file with explicit sample points")
 
     p_find = sub.add_parser("find-epsilon", help="bisect for a target size", parents=[sampling])
     p_find.add_argument("--ratio", type=float, required=True, help="target size / m")
@@ -216,11 +211,8 @@ def _cmd_find_epsilon(args) -> int:
     phases.mark("search")
 
     if result.boundary == "cutoff_below_observable_rank":
-        print(
-            "warning: cutoff size is below the observable rank; "
-            "returning epsilon_max",
-            file=sys.stderr,
-        )
+        warning = "warning: cutoff size is below the observable rank; returning epsilon_max"
+        print(warning, file=sys.stderr)
     _write_json(
         out / "search.json",
         {
@@ -318,10 +310,8 @@ def _cmd_sweep(args) -> int:
     phases.mark("sweep")
 
     # every tolerance of the grid is 0 when epsilon_max is
-    table = [(eps, eps / (eps_mx or 1.0), size) for eps, size in pairs]
-    header = "epsilon,epsilon_over_epsilon_max,reduced_size"
-    path = out / "staircase.csv"
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="", encoding="utf-8")
+    table = np.array([(eps, eps / (eps_mx or 1.0), size) for eps, size in pairs])
+    write_table(out / "staircase.csv", "epsilon,epsilon_over_epsilon_max,reduced_size", table)
     _write_manifest(out, args, phases.timings, seed=seed)
     print(f"epsilon_max: {eps_mx:.17g}")
     print(f"sizes: {pairs[0][1]} down to {pairs[-1][1]} over {args.grid} tolerances")

@@ -2,15 +2,17 @@
 
 A model is a system x' = f(x) together with one or more initial conditions,
 a linear observable matrix M, and a time horizon. Drift components are stored
-as expression trees. On first use each system compiles its drift to one
-straight-line Python function that returns all m components and applies the
-same operators in the same order as :meth:`Expression.evaluate`; the same code
-evaluates plain floats and dual numbers, bit for bit as the tree walk does,
-so Jacobians come out of forward-mode differentiation exactly (up to float
-roundoff) instead of finite differencing. Both evaluations also take an
-``(N, m)`` block of points and run the compiled code once, on value columns
-or on duals whose values are ``(N,)`` arrays; every f and J they return has
-the bits of a one-point evaluation.
+as expression trees. On first use each system compiles its drift, from an
+explicit stack and so however deep, to one Python function that returns all
+m components as nested expressions (with a temporary every 50 levels of
+parentheses) and applies the same operators in the same order as
+:meth:`Expression.evaluate`; the same code evaluates plain floats and dual
+numbers, bit for bit as the tree walk does, so Jacobians come out of
+forward-mode differentiation exactly (up to float roundoff) instead of finite
+differencing. Both evaluations also take an ``(N, m)`` block of points and
+run the compiled code once, on value columns or on duals whose values are
+``(N,)`` arrays; every f and J they return has the bits of a one-point
+evaluation.
 
 Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`. ``init`` and ``horizon`` take constant
@@ -19,8 +21,7 @@ expressions. ``^`` binds tighter than unary minus and associates to the left:
 are parsed, so a constant zero divisor (``1/0``, ``2/(1-1)``) is a syntax
 error, while ``b/0`` parses and fails at evaluation. A syntax error names
 the line, and the column when a token is at fault. A line nested too deeply
-for Python's recursion limit is a syntax error too, and a drift too deep to
-compile raises :class:`ModelValidationError` at its first evaluation.
+for Python's recursion limit is a syntax error too.
 """
 
 from __future__ import annotations
@@ -278,46 +279,66 @@ def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _straight_line(expr: Expression, body: list[str], constants: list) -> str:
-    """Append one statement ``tK = a op b`` per operator node of ``expr`` to
-    ``body``, left operand before right as :meth:`Expression.evaluate` runs
-    them, and return the operand that holds the value. Variables are read as
-    ``v[i]`` and constants by value as ``c[k]`` (``constants[k]``), so no
-    literal has to parse back. The code nests no parentheses, which CPython
-    caps at 200, so any sum the tree walk evaluates compiles."""
-    if isinstance(expr, Constant):
-        constants.append(expr.value)
-        return f"c[{len(constants) - 1}]"
-    if isinstance(expr, Variable):
-        return f"v[{expr.index}]"
-    if isinstance(expr, Neg):
-        statement = f"-{_straight_line(expr.operand, body, constants)}"
-    elif isinstance(expr, IntPow):
-        statement = f"{_straight_line(expr.base, body, constants)} ** {expr.exponent}"
-    elif type(expr) in _BINARY_OPS:
-        left = _straight_line(expr.left, body, constants)
-        right = _straight_line(expr.right, body, constants)
-        statement = f"{left} {_BINARY_OPS[type(expr)]} {right}"
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    body.append(f"t{len(body)} = {statement}")
-    return f"t{len(body) - 1}"
+_SPILL_HEIGHT = 50  # nested parentheses per temporary; CPython's parser allows 200
+
+
+def _nested_code(expr: Expression, body: list[str], constants: list) -> str:
+    """``expr`` as one parenthesized expression, variables read as ``v[i]``
+    and constants by value as ``c[k]`` (``constants[k]``). A subtree nesting
+    ``_SPILL_HEIGHT`` parentheses becomes a statement ``tK = ...`` of
+    ``body``, after the pending operands that ran before it. An explicit
+    stack walks the tree; an operator comes back as the text around its
+    operands' code."""
+    done: list[tuple[str, int]] = []  # code and nesting height of each finished operand
+    todo: list = [expr]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is str or kind is tuple:  # an infix or a (prefix, suffix) pair, operands done
+            operand, height = done.pop()
+            if kind is str:
+                left, left_height = done.pop()
+                code, height = f"({left}{node}{operand})", max(left_height, height) + 1
+            else:
+                code, height = f"{node[0]}{operand}{node[1]}", height + 1
+            done.append((code, height))
+            if height >= _SPILL_HEIGHT:
+                for k, (pending, nested) in enumerate(done):
+                    if nested:
+                        body.append(f"t{len(body)} = {pending}")
+                        done[k] = (f"t{len(body) - 1}", 0)
+        elif kind is Variable:
+            done.append((f"v[{node.index}]", 0))
+        elif kind is Constant:
+            constants.append(node.value)
+            done.append((f"c[{len(constants) - 1}]", 0))
+        elif kind in _BINARY_OPS:
+            todo += (f" {_BINARY_OPS[kind]} ", node.right, node.left)
+        elif kind is Neg:
+            todo += (("(-", ")"), node.operand)
+        elif kind is IntPow:
+            todo += (("(", f" ** {node.exponent})"), node.base)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return done[0][0]
 
 
 def _compile_drift(name: str, drift: Sequence[Expression]) -> Callable:
     """One function ``f(v)``, defined by a single ``exec``, that returns the
-    list of all drift components. It applies the operators of each
-    ``drift[i]`` in turn, in the order of ``drift[i].evaluate(v)``, so the
-    results agree bit for bit, on floats and on :class:`DualVector` alike,
-    and so do the errors raised. A ``ZeroDivisionError`` or ``OverflowError``
-    leaves ``f`` with the failing index i as its ``component`` attribute."""
+    list of all drift components, each the nested code of :func:`_nested_code`
+    with a temporary every ``_SPILL_HEIGHT`` levels, built without recursion,
+    so any drift compiles. Operators run in the order of
+    ``drift[i].evaluate(v)``, so the results agree bit for bit, on floats and
+    on :class:`DualVector` alike, and so do the errors raised; a
+    ``ZeroDivisionError`` or ``OverflowError`` gets the failing i as its
+    ``component`` attribute."""
     constants: list = []
     lines = ["def f(v):", "    try:"]
     for i, expr in enumerate(drift):
         # each component numbers its temporaries from t0 again, so the next
         # one rebinds and frees them, as returning from a function would
         body: list[str] = []
-        result = _straight_line(expr, body, constants)
+        result = _nested_code(expr, body, constants)
         lines.append(f"        i = {i}")
         lines.extend(f"        {statement}" for statement in body)
         lines.append(f"        r{i} = {result}")
@@ -413,10 +434,7 @@ class OdeSystem:
 
     @cached_property
     def _drift_function(self) -> Callable:
-        try:
-            return _compile_drift(self.name, self.drift)
-        except RecursionError:
-            raise ModelValidationError(f"drift of {self.name} too deep to compile") from None
+        return _compile_drift(self.name, self.drift)
 
     def __getstate__(self):
         # the compiled function does not pickle; the copy compiles its own
@@ -490,10 +508,10 @@ def _points(system: OdeSystem, x) -> np.ndarray:
 
 
 def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
-    """Evaluate f(x) with the system's compiled straight-line drift, which
-    gives the same bits as ``[e.evaluate(x.tolist()) for e in
-    system.drift]``. Pure and deterministic: identical inputs give
-    bit-identical outputs. A zero denominator or an overflowing power raises
+    """Evaluate f(x) with the system's compiled drift, which gives the same
+    bits as ``[e.evaluate(x.tolist()) for e in system.drift]``. Pure and
+    deterministic: identical inputs give bit-identical outputs. A zero
+    denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component.
 
     ``x`` may also be an ``(N, m)`` block, one point per row, for an
@@ -501,7 +519,10 @@ def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
     the bits and the errors of one call per point."""
     x = np.asarray(x, dtype=float)
     if x.shape == (system.dim,):  # one point, as the step loop of integrate calls it
-        return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
+        try:
+            return np.array(system._drift_function(x.tolist()), dtype=float)
+        except (ZeroDivisionError, OverflowError):  # again, for the error that names the component
+            return np.array(_evaluate_components(system, x, np.ndarray.tolist), dtype=float)
     x = _points(system, x)
     with np.errstate(all="ignore"):  # inf and nan arise silently, as for floats
         columns = _evaluate_components(system, x, _columns)

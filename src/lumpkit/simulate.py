@@ -3,10 +3,11 @@
 The integrator is an embedded Dormand-Prince 5(4) pair with proportional
 step control and the pair's quartic dense-output interpolant. It is explicit
 on purpose: stiffness is reported (step underflow after repeated
-rejections), not worked around. The step loop builds its stage views once,
-makes six drift calls per step (the last, at the step's end, is the next
-step's first), keeps times in Python floats and never writes a state in
-place, so it logs each state uncopied; the trajectory copies each log once.
+rejections), not worked around. The step loop forms its stage sums with
+``np.dot`` over stage prefixes, makes six drift calls per step (the last, at
+the step's end, is the next step's first), keeps times in Python floats and
+never writes a state in place, so it logs each state uncopied; the
+trajectory copies each log once.
 
 :func:`reduction_report` integrates the full and the reduced system side by
 side on a shared output grid and summarizes the observable error, the drift
@@ -58,9 +59,7 @@ _A = (
 )
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 # difference between the 5th and the embedded 4th order weights
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # dense-output polynomial coefficients, one row per stage, powers theta..theta^4
 _P = np.array(
     [
@@ -234,7 +233,6 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
     steps: list[float] = []
     stage_log: list[np.ndarray] = []
     stages = np.empty((7, n))
-    heads = [stages[:s].T for s in range(8)]  # the first s stages, transposed
     abs_y = np.abs(y)
     attempts = 0
     rejected_streak = 0
@@ -257,12 +255,12 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
 
         stages[0] = f_cur
         for s in range(1, 7):
-            y_stage = y + h * (heads[s] @ _A[s])
+            y_stage = y + h * np.dot(_A[s], stages[:s])
             stages[s] = _call_drift(drift, y_stage, t + _C[s] * h)
         # the last stage is y_new (_C[6] = 1), and f there is the next step's stage 0
         y_new = y_stage
 
-        err_vec = h * (heads[7] @ _E)
+        err_vec = h * np.dot(_E, stages)
         abs_new = np.abs(y_new)
         scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.maximum(abs_y, abs_new))
         err = _rms(err_vec / scale)
@@ -271,8 +269,7 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
             steps.append(h)
             stage_log.append(stages.copy())
             t = horizon if final_step else t + h
-            y = y_new
-            abs_y = abs_new
+            y, abs_y = y_new, abs_new
             f_cur = stages[6].copy()
             times.append(t)
             states.append(y)
@@ -305,12 +302,10 @@ def build_reduced_drift(system: OdeSystem, L, Lbar=None) -> Callable[[np.ndarray
             raise DimensionMismatchError("Lbar must have the transposed shape of L")
     defect = np.max(np.abs(L @ Lbar - np.eye(L.shape[0])))
     if not defect <= 1e-8:
-        raise PseudoinverseError(
-            f"L @ Lbar deviates from the identity by {defect:.3e}"
-        )
+        raise PseudoinverseError(f"L @ Lbar deviates from the identity by {defect:.3e}")
 
     def reduced(y: np.ndarray) -> np.ndarray:
-        return L @ evaluate_drift(system, Lbar @ y)
+        return np.dot(L, evaluate_drift(system, np.dot(Lbar, y)))
 
     return reduced
 
@@ -332,9 +327,7 @@ def error_bound_constant(C: float, norm_L: float, norm_Lbar: float, horizon: flo
     if bt < 1e-8:
         return horizon * (1.0 + 0.5 * bt)
     if bt > 700.0:
-        warnings.warn(
-            "error bound overflows (beta*T > 700); reporting inf", RuntimeWarning
-        )
+        warnings.warn("error bound overflows (beta*T > 700); reporting inf", RuntimeWarning)
         return math.inf
     return math.expm1(bt) / beta
 
@@ -495,6 +488,12 @@ def write_series_csv(path, times, columns: dict[str, np.ndarray]):
     series = [np.asarray(values, dtype=float) for values in columns.values()]
     if ts.ndim != 1 or any(values.shape != ts.shape for values in series):
         raise DimensionMismatchError("times and every column must be vectors of one length")
-    table = np.column_stack([ts, *series])
-    header = ",".join(["t", *columns])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="", encoding="utf-8")
+    write_table(path, ",".join(["t", *columns]), np.column_stack([ts, *series]))
+
+
+def write_table(path, header: str, table: np.ndarray):
+    """Write ``header`` and a CSV line of ``"%.17g"`` numbers per row of the
+    2-D ``table`` as UTF-8, in one write and formatted by one ``%``."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"{header}\n" + (line * len(table)) % tuple(table.ravel().tolist()))

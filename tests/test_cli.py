@@ -385,7 +385,12 @@ class TestSimulate:
     def test_deeply_nested_model_exits_1(self, tmp_path, capsys, name):
         model = tmp_path / "deep.ode"
         model.write_text(DEEP_NESTING[name])
-        assert run(["simulate", "--model", str(model), "--out", str(tmp_path / "o")]) == 1
+        code = run(["simulate", "--model", str(model), "--out", str(tmp_path / "o")])
+        if name == "drift_sum":  # parsed in a loop and compiled without recursion
+            assert code == 0
+            assert (tmp_path / "o" / "original.csv").is_file()
+            return
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

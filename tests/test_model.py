@@ -815,13 +815,19 @@ class TestBatchedDrift:
 
 class TestCompiledDrift:
     """evaluate_drift and evaluate_drift_dual run each system's compiled
-    straight-line drift; Expression.evaluate is the reference."""
+    drift; Expression.evaluate is the reference."""
 
     def test_bit_parity_with_the_tree_walk(
         self, rational3, rational3_perturbed, poly4, random_corpus
     ):
+        workloads = benchmark_workloads()
         systems = [rational3, rational3_perturbed, poly4]
         systems += [system for system, _, _ in random_corpus]
+        # the m = 20 rational models of the benchmark's search workload
+        systems += [
+            lk.parse_model(workloads.rational_model_text(key))
+            for key in range(workloads.SEARCH_MODELS)
+        ]
         rng = np.random.Generator(np.random.PCG64(3))
         for system in systems:
             for _ in range(30):
@@ -891,10 +897,23 @@ class TestCompiledDrift:
 
     def test_four_hundred_term_sum(self):
         # CPython rejects more than 200 nested parentheses; the compiled
-        # code nests none, so any sum the tree walk evaluates compiles
+        # code binds every 50 levels to a temporary, so any sum compiles
         terms = " + ".join(f"{k + 1}*a*b^{k % 3}" for k in range(400))
         system = lk.parse_model(two_var(f"eq a = {terms}\neq b = a"))
         assert_matches_tree_walk(system, np.array([0.7, -1.3]))
+
+    def test_spilled_subtree_keeps_the_operator_order(self):
+        # the 61-term sum nests past the spill height and becomes a temporary;
+        # the quotient to its left must still fail first, as in the tree walk
+        chain = " + ".join(["b^400"] + ["b"] * 60)
+        system = lk.parse_model(two_var(f"eq a = 1/(a - 1) + ({chain})\neq b = a"))
+        x = np.array([1.0, 10.0])
+        with pytest.raises(ZeroDivisionError):
+            system.drift[0].evaluate(x.tolist())
+        for evaluate in (lk.evaluate_drift, lk.evaluate_drift_dual):
+            with pytest.raises(EvaluationError, match="zero denominator evaluating da/dt"):
+                evaluate(system, x)
+        assert_matches_tree_walk(system, np.array([2.0, 1.5]))
 
     def test_constants_bound_by_value(self):
         # the parser rejects "1e400", but a tree built in code may hold inf,
@@ -972,7 +991,7 @@ class TestCompiledDrift:
 
 class TestDeepNesting:
     """Lines nested deeper than Python's recursion limit are model errors,
-    never a RecursionError."""
+    never a RecursionError, and a long sum compiles."""
 
     @pytest.mark.parametrize(
         "text",
@@ -985,11 +1004,13 @@ class TestDeepNesting:
         assert exc_info.value.line == 3
 
     def test_long_drift_sum(self):
-        # the parser reads a sum in a loop, but the drift compiler recurses
+        # the parser reads a sum in a loop, and the drift compiler keeps its own stack
         system = lk.parse_model(DEEP_NESTING["drift_sum"])
-        for evaluate in (lk.evaluate_drift, lk.evaluate_drift_dual):
-            with pytest.raises(ModelValidationError, match="drift of deep too deep to compile"):
-                evaluate(system, np.array([1.0, 2.0]))
+        x = np.array([1.0, 2.0])
+        assert lk.evaluate_drift(system, x).tolist() == [6000.0, 1.0]
+        f, J = lk.evaluate_drift_dual(system, x)
+        assert f.tolist() == [6000.0, 1.0]
+        assert J.tolist() == [[0.0, 3000.0], [1.0, 0.0]]
 
     def test_long_observable_sum(self):
         with pytest.raises(ModelSyntaxError, match="observable nests too deeply") as exc_info:

@@ -466,6 +466,47 @@ class TestStepLoopParity:
         assert np.float64(_rms(q)).tobytes() == expected.tobytes()
 
 
+# the 5th-order weights of the Dormand-Prince pair, spelled out rather than
+# read from the solver's tableau
+B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+
+
+class TestStageSums:
+    """The stage sums of integrate and the products of build_reduced_drift
+    have the bits of plain matrix products."""
+
+    @staticmethod
+    def systems_and_rows(rational3, rational3_perturbed, poly4):
+        # bundled models with the rows of approximate_lump at epsilon 0.1, and
+        # two simulate_long oscillators with their benchmark rows
+        for system in (rational3, rational3_perturbed, poly4):
+            basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+            yield system, lk.approximate_lump(basis, system.observables, 0.1).matrix
+        workloads = benchmark_workloads()
+        for key, system in enumerate(simulate_long_oscillators()[:2]):
+            rows = workloads.oscillator_rows(key, system.observables)
+            yield system, lk.LumpingMatrix.from_rows(rows, observable_rank=1).matrix
+
+    def test_accepted_steps(self, rational3, rational3_perturbed, poly4):
+        config = lk.SolverConfig(rel_tol=1e-9, abs_tol=1e-12)
+        for system, _ in self.systems_and_rows(rational3, rational3_perturbed, poly4):
+            drift = lambda x: lk.evaluate_drift(system, x)
+            traj = lk.integrate(drift, system.initial_conditions[0], system.time_horizon, config)
+            assert traj.steps.size > 10
+            for k, (h, stages) in enumerate(zip(traj.steps, traj.stages)):
+                step = traj.states[k] + h * (stages[:6].T @ B5)
+                assert step.tobytes() == traj.states[k + 1].tobytes()
+                assert stages[6].tobytes() == drift(traj.states[k + 1]).tobytes()
+
+    def test_reduced_drift(self, rational3, rational3_perturbed, poly4):
+        rng = np.random.Generator(np.random.PCG64(19))
+        for system, L in self.systems_and_rows(rational3, rational3_perturbed, poly4):
+            reduced = lk.build_reduced_drift(system, L)
+            for y in rng.uniform(-2.0, 2.0, (20, L.shape[0])):
+                expected = L @ lk.evaluate_drift(system, L.T @ y)
+                assert reduced(y).tobytes() == expected.tobytes()
+
+
 class TestDenseOutput:
     """Trajectory.sample evaluates all times at once with the bits of the
     per-point dense output of per_point_sample."""
