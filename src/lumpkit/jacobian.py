@@ -166,7 +166,7 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
     after that are never drawn."""
     cap = system_dim * system_dim
     stack = np.empty((min(cap, 4 * system_dim), cap))
-    mats: list[np.ndarray] = []
+    mats = np.empty((system_dim, system_dim, system_dim))  # one block's worth
     pts: list[np.ndarray | None] = []
     dependent_run = 0
     for J, point in candidates:
@@ -174,22 +174,24 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
             raise DimensionMismatchError("Jacobian sample has wrong shape")
         vec, _ = _scaled_flat(J)
         scale = float(np.linalg.norm(vec))
-        Q = stack[: len(mats)]
+        Q = stack[: len(pts)]
         r = project_out(project_out(vec, Q), Q)
         rnorm = float(np.linalg.norm(r))
         if scale > 0.0 and rnorm > RANK_RTOL * scale:
-            if len(mats) == len(stack):  # full: double it, up to the m^2 cap
+            if len(pts) == len(stack):  # full: double it, up to the m^2 cap
                 stack = np.vstack((stack, np.empty_like(stack[: cap - len(stack)])))
-            stack[len(mats)] = r / rnorm
-            mats.append(J)
+            if len(pts) == len(mats):
+                mats = np.vstack((mats, np.empty_like(mats[: cap - len(mats)])))
+            stack[len(pts)] = r / rnorm
+            mats[len(pts)] = J  # a copy, so the evaluated block J came from is freed
             pts.append(point)
             dependent_run = 0
         else:
             dependent_run += 1
-        if len(mats) == cap or dependent_run == confirmations:
+        if len(pts) == cap or dependent_run == confirmations:
             break
     return JacobianBasis(
-        state_dim=system_dim, matrices=mats, sample_points=pts, ortho_flat=stack[: len(mats)]
+        state_dim=system_dim, matrices=mats[: len(pts)], sample_points=pts, ortho_flat=stack[: len(pts)]
     )
 
 

@@ -2,9 +2,10 @@
 
 A model is a system x' = f(x) together with one or more initial conditions,
 a linear observable matrix M, and a time horizon. Drift components are stored
-as expression trees. On first use each system compiles its drift, from an
-explicit stack and so however deep, to one Python function that returns all
-m components as nested expressions (with a temporary every 50 levels of
+as expression trees, and every reader of a tree loops over its postfix list
+(:func:`_postfix`), so a tree of any depth is read without recursion. On
+first use each system compiles its drift to one Python function that returns
+all m components as nested expressions (with a temporary every 50 levels of
 parentheses) and applies the same operators in the same order as
 :meth:`Expression.evaluate`; the same code evaluates plain floats and dual
 numbers, bit for bit as the tree walk does, so Jacobians come out of
@@ -20,13 +21,15 @@ expressions. ``^`` binds tighter than unary minus and associates to the left:
 -x^2 is -(x^2) and x^2^3 is (x^2)^3. Operators over constants fold as they
 are parsed, so a constant zero divisor (``1/0``, ``2/(1-1)``) is a syntax
 error, while ``b/0`` parses and fails at evaluation. A syntax error names
-the line, and the column when a token is at fault. A line nested too deeply
-for Python's recursion limit is a syntax error too.
+the line, and the column when a token is at fault. Sums of any length parse;
+parentheses or unary minuses nested too deeply for Python's recursion limit
+are a syntax error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -176,7 +179,9 @@ class _Column(np.ndarray):
 
 class Expression:
     """Base class for drift expression nodes. Nodes are immutable; the only
-    normalization applied at construction time is constant folding."""
+    normalization applied at construction time is constant folding. Every
+    reader of a tree, ``==``, ``hash`` and pickling included, loops over
+    :func:`_postfix`, so a tree of any depth is read without recursion."""
 
     __slots__ = ()
 
@@ -184,99 +189,145 @@ class Expression:
         """Evaluate with ``values[i]`` bound to variable i. Works on floats
         and on :class:`DualVector` alike. This tree walk is the reference
         that the compiled drift of :func:`evaluate_drift` reproduces."""
-        raise NotImplementedError
+        done: list = []  # the value of each finished operand
+        for kind, arg in _postfix(self):
+            if kind is Constant or kind is Variable:
+                done.append(arg if kind is Constant else values[arg])
+            elif kind is Neg or kind is IntPow:
+                done.append(-done.pop() if kind is Neg else done.pop() ** arg)
+            else:
+                right = done.pop()
+                done.append(_APPLY[kind](done.pop(), right))
+        return done.pop()
+
+    def __eq__(self, other):
+        return _postfix(self) == _postfix(other) if isinstance(other, Expression) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(_postfix(self)))
+
+    def __reduce__(self):
+        return _from_postfix, (_postfix(self),)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Constant(Expression):
     value: float
 
-    def evaluate(self, values):
-        return self.value
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Variable(Expression):
     index: int
 
-    def evaluate(self, values):
-        return values[self.index]
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Add(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, values):
-        return self.left.evaluate(values) + self.right.evaluate(values)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Sub(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, values):
-        return self.left.evaluate(values) - self.right.evaluate(values)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mul(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, values):
-        return self.left.evaluate(values) * self.right.evaluate(values)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Div(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, values):
-        return self.left.evaluate(values) / self.right.evaluate(values)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Neg(Expression):
     operand: Expression
 
-    def evaluate(self, values):
-        return -self.operand.evaluate(values)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class IntPow(Expression):
     """Power with a literal non-negative integer exponent."""
 
     base: Expression
     exponent: int
 
-    def evaluate(self, values):
-        return self.base.evaluate(values) ** self.exponent
-
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _postfix(expr: Expression) -> list[tuple[type, object]]:
+    """``(type, value/index/exponent or None)`` per node of ``expr`` in
+    post-order, operands left to right, for a reader to loop over with a stack
+    of operand results. Listed node, right, left and reversed, no recursion."""
+    nodes: list = []
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        kind, arg = type(node), None
+        if kind in _BINARY_OPS:
+            todo += (node.left, node.right)
+        elif kind is Neg:
+            todo.append(node.operand)
+        elif kind is IntPow:
+            todo.append(node.base)
+            arg = node.exponent
+        elif kind is Constant or kind is Variable:
+            arg = node.value if kind is Constant else node.index
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        nodes.append((kind, arg))
+    nodes.reverse()
+    return nodes
+
+
+def _from_postfix(nodes) -> Expression:
+    """The tree whose :func:`_postfix` is ``nodes``; how a tree unpickles."""
+    done: list[Expression] = []
+    for kind, arg in nodes:
+        if kind is Constant or kind is Variable:
+            done.append(kind(arg))
+        elif kind is Neg or kind is IntPow:
+            done.append(Neg(done.pop()) if kind is Neg else IntPow(done.pop(), arg))
+        else:
+            right = done.pop()
+            done.append(kind(done.pop(), right))
+    return done.pop()
+
+
+# how tightly each operator binds, loosest first; atoms bind at 5
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, IntPow: 4}
 
 
 def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
-    """Render an expression fully parenthesized. Parsing the result yields a
-    structurally identical tree (used for debugging and round-trip tests)."""
-    if isinstance(expr, Constant):
-        return repr(expr.value)
-    if isinstance(expr, Variable):
-        return var_names[expr.index]
-    if type(expr) in _BINARY_OPS:
-        left = expression_to_text(expr.left, var_names)
-        right = expression_to_text(expr.right, var_names)
-        return f"({left} {_BINARY_OPS[type(expr)]} {right})"
-    if isinstance(expr, Neg):
-        return f"(-{expression_to_text(expr.operand, var_names)})"
-    if isinstance(expr, IntPow):
-        return f"({expression_to_text(expr.base, var_names)} ^ {expr.exponent})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    """Render an expression with only the parentheses the grammar needs: an
+    operand binding looser than its operator is wrapped, and so is the right
+    operand of a binary operator that binds as loosely; a negative constant
+    binds as unary minus. Parsing the result yields a structurally identical
+    tree, however long its sums (used by ``to_text`` and round-trip tests)."""
+    done: list[tuple[str, int]] = []  # text and precedence of each finished operand
+
+    def operand(level: int) -> str:
+        text, operand_level = done.pop()
+        return text if operand_level >= level else f"({text})"
+
+    for kind, arg in _postfix(expr):
+        if kind is Constant or kind is Variable:
+            text = repr(arg) if kind is Constant else var_names[arg]
+            done.append((text, 3 if text[0] == "-" else 5))
+        elif kind is Neg or kind is IntPow:
+            text = operand(_PRECEDENCE[kind])
+            done.append((f"-{text}" if kind is Neg else f"{text} ^ {arg}", _PRECEDENCE[kind]))
+        else:
+            level = _PRECEDENCE[kind]
+            right = operand(level + 1)  # wrapped at equal precedence too
+            done.append((f"{operand(level)} {_BINARY_OPS[kind]} {right}", level))
+    return done.pop()[0]
 
 
 _SPILL_HEIGHT = 50  # nested parentheses per temporary; CPython's parser allows 200
@@ -286,40 +337,28 @@ def _nested_code(expr: Expression, body: list[str], constants: list) -> str:
     """``expr`` as one parenthesized expression, variables read as ``v[i]``
     and constants by value as ``c[k]`` (``constants[k]``). A subtree nesting
     ``_SPILL_HEIGHT`` parentheses becomes a statement ``tK = ...`` of
-    ``body``, after the pending operands that ran before it. An explicit
-    stack walks the tree; an operator comes back as the text around its
-    operands' code."""
+    ``body``, after the pending operands that ran before it."""
     done: list[tuple[str, int]] = []  # code and nesting height of each finished operand
-    todo: list = [expr]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is str or kind is tuple:  # an infix or a (prefix, suffix) pair, operands done
-            operand, height = done.pop()
-            if kind is str:
-                left, left_height = done.pop()
-                code, height = f"({left}{node}{operand})", max(left_height, height) + 1
-            else:
-                code, height = f"{node[0]}{operand}{node[1]}", height + 1
-            done.append((code, height))
-            if height >= _SPILL_HEIGHT:
-                for k, (pending, nested) in enumerate(done):
-                    if nested:
-                        body.append(f"t{len(body)} = {pending}")
-                        done[k] = (f"t{len(body) - 1}", 0)
-        elif kind is Variable:
-            done.append((f"v[{node.index}]", 0))
-        elif kind is Constant:
-            constants.append(node.value)
+    for kind, arg in _postfix(expr):
+        if kind is Variable:
+            done.append((f"v[{arg}]", 0))
+            continue
+        if kind is Constant:
+            constants.append(arg)
             done.append((f"c[{len(constants) - 1}]", 0))
-        elif kind in _BINARY_OPS:
-            todo += (f" {_BINARY_OPS[kind]} ", node.right, node.left)
-        elif kind is Neg:
-            todo += (("(-", ")"), node.operand)
-        elif kind is IntPow:
-            todo += (("(", f" ** {node.exponent})"), node.base)
+            continue
+        operand, height = done.pop()
+        if kind is Neg or kind is IntPow:
+            code = f"(-{operand})" if kind is Neg else f"({operand} ** {arg})"
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            left, left_height = done.pop()
+            code, height = f"({left} {_BINARY_OPS[kind]} {operand})", max(left_height, height)
+        done.append((code, height + 1))
+        if height + 1 >= _SPILL_HEIGHT:
+            for k, (pending, nested) in enumerate(done):
+                if nested:
+                    body.append(f"t{len(body)} = {pending}")
+                    done[k] = (f"t{len(body) - 1}", 0)
     return done[0][0]
 
 
@@ -680,55 +719,40 @@ class _Line:
         self.fail(message, column)
 
 
-class _NonlinearObservable(Exception):
-    pass
-
-
-def _linear_coefficients(expr: Expression, m: int) -> tuple[np.ndarray, float]:
-    """Extract (coefficients, constant) from a linear expression; raises
-    _NonlinearObservable on products of variables, variable denominators,
-    or powers above one."""
-    if isinstance(expr, Constant):
-        return np.zeros(m), expr.value
-    if isinstance(expr, Variable):
-        coeffs = np.zeros(m)
-        coeffs[expr.index] = 1.0
-        return coeffs, 0.0
-    if isinstance(expr, Add):
-        c1, k1 = _linear_coefficients(expr.left, m)
-        c2, k2 = _linear_coefficients(expr.right, m)
-        return c1 + c2, k1 + k2
-    if isinstance(expr, Sub):
-        c1, k1 = _linear_coefficients(expr.left, m)
-        c2, k2 = _linear_coefficients(expr.right, m)
-        return c1 - c2, k1 - k2
-    if isinstance(expr, Neg):
-        c, k = _linear_coefficients(expr.operand, m)
-        return -c, -k
-    if isinstance(expr, Mul):
-        c1, k1 = _linear_coefficients(expr.left, m)
-        c2, k2 = _linear_coefficients(expr.right, m)
-        if not c1.any():
-            return k1 * c2, k1 * k2
-        if not c2.any():
-            return k2 * c1, k1 * k2
-        raise _NonlinearObservable
-    if isinstance(expr, Div):
-        c2, k2 = _linear_coefficients(expr.right, m)
-        if c2.any() or k2 == 0.0:
-            raise _NonlinearObservable
-        c1, k1 = _linear_coefficients(expr.left, m)
-        return c1 / k2, k1 / k2
-    if isinstance(expr, IntPow):
-        if expr.exponent == 0:
-            return np.zeros(m), 1.0
-        if expr.exponent == 1:
-            return _linear_coefficients(expr.base, m)
-        c, k = _linear_coefficients(expr.base, m)
-        if c.any():
-            raise _NonlinearObservable
-        return np.zeros(m), k**expr.exponent
-    raise _NonlinearObservable
+def _linear_form(expr: Expression, m: int) -> np.ndarray | None:
+    """The m coefficients of a linear expression followed by its constant
+    term, or None on products of variables, variable denominators, or powers
+    above one of a non-constant (``e^0`` is 1 whatever ``e`` is)."""
+    done: list = []  # the form of each finished operand, None if nonlinear
+    for kind, arg in _postfix(expr):
+        if kind is Constant:
+            form = np.append(np.zeros(m), arg)
+        elif kind is Variable:
+            form = np.zeros(m + 1)
+            form[arg] = 1.0
+        elif kind is Neg or kind is IntPow:
+            form = done.pop()
+            if kind is IntPow and arg == 0:
+                form = np.append(np.zeros(m), 1.0)
+            elif form is not None and kind is Neg:
+                form = -form
+            elif form is not None and arg > 1:
+                form = None if form[:m].any() else np.append(np.zeros(m), float(form[m]) ** arg)
+        else:
+            right, left = done.pop(), done.pop()
+            if left is None or right is None:
+                form = None
+            elif kind is Add or kind is Sub:
+                form = left + right if kind is Add else left - right
+            elif kind is Mul:
+                if not left[:m].any():
+                    form = left[m] * right
+                else:
+                    form = None if right[:m].any() else right[m] * left
+            else:
+                form = None if right[:m].any() or right[m] == 0.0 else left / right[m]
+        done.append(form)
+    return done.pop()
 
 
 def parse_model(text: str) -> OdeSystem:
@@ -821,19 +845,14 @@ def parse_model(text: str) -> OdeSystem:
     m = len(var_names)
     M = np.zeros((len(obs_rows), m))
     for k, (expr, line_no) in enumerate(obs_rows):
-        try:
-            coeffs, const = _linear_coefficients(expr, m)
-        except _NonlinearObservable:
-            raise ModelSyntaxError(
-                "observable must be linear in the state variables", line_no
-            ) from None
-        except RecursionError:
-            raise ModelSyntaxError("observable nests too deeply", line_no) from None
-        if const != 0.0:
+        form = _linear_form(expr, m)
+        if form is None:
+            raise ModelSyntaxError("observable must be linear in the state variables", line_no)
+        if form[m] != 0.0:
             raise ModelSyntaxError("observable must have no constant term", line_no)
-        if not coeffs.any():
+        if not form[:m].any():
             raise ModelSyntaxError("observable must involve at least one variable", line_no)
-        M[k] = coeffs
+        M[k] = form[:m]
 
     return OdeSystem(
         name=name,

@@ -56,9 +56,9 @@ BIG_POWER = (
     "init a = 10\ninit b = 1\nobs b\nhorizon 1\n"
 )
 
-# models nested deeper than Python's recursion limit lets the parser, the
-# drift compiler or the observable reader go: 300 parenthesis pairs or a
-# 3,000-term drift sum on line 3, or a 3,000-term observable on line 7
+# models deeper than Python's recursion limit: 300 parenthesis pairs on
+# line 3, which the parser rejects, and a 3,000-term drift sum on line 3 or
+# observable on line 7, which every reader of the tree takes
 _SHALLOW = "model deep\nvar a, b\neq a = b\neq b = a\ninit a = 1\ninit b = 1\nobs a\nhorizon 1\n"
 DEEP_NESTING = {
     "parentheses": _SHALLOW.replace("eq a = b", "eq a = " + "(" * 300 + "b" + ")" * 300),

@@ -1,5 +1,6 @@
 """Model text format, expression evaluation, and forward-mode derivatives."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -278,6 +279,27 @@ class TestParsing:
         reparsed = lk.parse_model(rational3.to_text())
         assert reparsed.drift == rational3.drift
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a + b - a - b",
+            "a - (b - a)",
+            "a / (b * a) * b",
+            "(a + b) * -a",
+            "-(a * b) - -2.5",
+            "(-a) ^ 2 + -a ^ 2 ^ 3",
+            "(a - b) ^ 2 / (-3.0 * b)",
+            "--a",
+        ],
+    )
+    def test_to_text_writes_only_needed_parentheses(self, text):
+        system = lk.parse_model(two_var(f"eq a = {text}\neq b = a"))
+        assert f"eq a = {text}\n" in system.to_text()
+        assert lk.parse_model(system.to_text()).drift == system.drift
+
+    def test_negative_constant_binds_as_unary_minus(self):
+        assert lk.expression_to_text(IntPow(Constant(-2.0), 2), []) == "(-2.0) ^ 2"
+
     def test_equality_compares_arrays_by_value(self, poly4):
         text = model_path("poly4.ode").read_text()
         assert lk.parse_model(text) == lk.parse_model(text)
@@ -361,6 +383,8 @@ class TestParsing:
             ("a^1", [1.0, 0.0]),
             ("2^0*a", [1.0, 0.0]),
             ("(2*a)^1", [2.0, 0.0]),
+            ("b*(a - a + 2)", [0.0, 2.0]),
+            ("a + (a*b)^0 - 1", [1.0, 0.0]),
         ],
     )
     def test_observable_forms(self, observable, row):
@@ -991,7 +1015,8 @@ class TestCompiledDrift:
 
 class TestDeepNesting:
     """Lines nested deeper than Python's recursion limit are model errors,
-    never a RecursionError, and a long sum compiles."""
+    never a RecursionError, and a sum of any length is read by every reader
+    of the tree."""
 
     @pytest.mark.parametrize(
         "text",
@@ -1013,6 +1038,17 @@ class TestDeepNesting:
         assert J.tolist() == [[0.0, 3000.0], [1.0, 0.0]]
 
     def test_long_observable_sum(self):
-        with pytest.raises(ModelSyntaxError, match="observable nests too deeply") as exc_info:
-            lk.parse_model(DEEP_NESTING["observable_sum"])
-        assert exc_info.value.line == 7
+        system = lk.parse_model(DEEP_NESTING["observable_sum"])
+        assert system.observables.tolist() == [[3000.0, 0.0]]
+
+    def test_every_tree_reader_takes_a_long_sum(self):
+        text = DEEP_NESTING["drift_sum"]
+        system, again = lk.parse_model(text), lk.parse_model(text)
+        assert system.drift[0].evaluate([1.0, 2.0]) == 6000.0
+        assert system == again and system.drift[0] == again.drift[0]
+        assert hash(system.drift[0]) == hash(again.drift[0])
+        assert pickle.loads(pickle.dumps(system)) == system
+        assert copy.deepcopy(system) == system
+        for text in (text, DEEP_NESTING["observable_sum"]):
+            system = lk.parse_model(text)
+            assert lk.parse_model(system.to_text()) == system
