@@ -6,11 +6,11 @@ Exact lumpings leave rsp(L) invariant under every drift Jacobian; the
 approximate variant tolerates invariance defects up to a tolerance epsilon.
 
 The central routine is :func:`approximate_lump`: starting from the
-orthonormalized observable rows it sweeps each row against each basis
-Jacobian and appends the normalized defect whenever the row's image sticks
-out of the current row space by more than epsilon, checking each row
-against all basis matrices in one batch; one pass over the growing row
-list is a fixpoint. :func:`epsilon_max` gives
+orthonormalized observable rows it sweeps each row against all basis
+Jacobians in one batch, measures each image's defect against the current row
+space (:func:`_measure`) and appends the normalized defect when the decision
+(:func:`_decide`) finds it larger than epsilon; one pass over the growing
+row list is a fixpoint. :func:`epsilon_max` gives
 the smallest tolerance that collapses the result back to the observables
 alone, the lower end of ``valid_for`` at an infinite tolerance.
 :func:`find_epsilon` bisects between the two extremes to hit a target size
@@ -178,6 +178,25 @@ class LumpingMatrix:
         }
 
 
+def _measure(V, stack):
+    """Each image's defect against the orthonormal ``stack``, and its norm."""
+    defects = project_out(V, stack)
+    return defects, np.linalg.norm(defects, axis=1)
+
+
+def _decide(dist, epsilon, slack, lo):
+    """The decision on a batch of checks in order: n, the checks before the
+    first append (``len(dist)`` if none), and ``lo`` raised to the largest of
+    their distances above the float ``slack``. The tolerance enters the sweep
+    only here, through ``distance > epsilon`` for checks above the slack while
+    rows can still be appended, so ``valid_for`` is [lo, hi): lo the largest
+    such distance not appended (0 if none), hi the smallest appended distance
+    (inf if none)."""
+    over = np.flatnonzero(dist > np.fmax(epsilon, slack))
+    n = int(over[0]) if len(over) else len(dist)
+    return n, float(np.max(dist[:n], where=dist[:n] > slack[:n], initial=lo))
+
+
 def approximate_lump(
     basis: JacobianBasis,
     observables,
@@ -194,16 +213,12 @@ def approximate_lump(
     one pass is a fixpoint: a defect measured against a larger row space is
     never larger, and an appended image already lies in the span.
 
-    Each row is checked against all basis matrices in one batch; after an
-    append only the images not yet checked are projected again, against the
-    grown stack. Decisions, their order and the trace are those of one check
-    at a time, and distances agree with a per-check loop to roundoff.
-
-    The tolerance enters only through the comparisons ``distance > epsilon``
-    of checks whose distance exceeds the float slack while rows can still be
-    appended. The result's ``valid_for`` is [lo, hi): lo the largest such
-    distance that was not appended (0 if none), hi the smallest appended
-    distance (inf if none).
+    This is the skeleton (row walk, append, provenance, trace, ``valid_for``).
+    A row's images are measured in one batch (:func:`_measure`) and decided
+    on in order (:func:`_decide`, the one place the tolerance enters); after
+    an append only the unchecked images are measured again, against the grown
+    stack. Decisions, their order and the trace are those of one check at a
+    time, and distances agree with a per-check loop to roundoff.
 
     The worst case returns all m rows, never an error.
     """
@@ -232,13 +247,8 @@ def approximate_lump(
             # the images from k0 on are unchecked; every check before
             # the first append among them is final as measured here
             cur = L[:count]
-            defects = project_out(V[k0:], cur)
-            dist = np.linalg.norm(defects, axis=1)
-            n = len(dist)
-            if count < m:
-                over = np.flatnonzero(dist > np.fmax(epsilon, slack[k0:]))
-                n = int(over[0]) if len(over) else n
-                lo = float(np.max(dist[:n], where=dist[:n] > slack[k0 : k0 + n], initial=lo))
+            defects, dist = _measure(V[k0:], cur)
+            n, lo = _decide(dist, epsilon, slack[k0:], lo) if count < m else (len(dist), lo)
             if record_trace:
                 trace.extend(
                     TraceEvent(1, row, k0 + j, float(dist[j]), j == n)
@@ -246,15 +256,14 @@ def approximate_lump(
                 )
             if n == len(dist):
                 break
-            k = k0 + n
             distance = float(dist[n])
             hi = min(hi, distance)
             # one extra projection pass keeps the stack orthonormal
             defect = project_out(defects[n], cur)
             L[count] = defect / np.linalg.norm(defect)
             count += 1
-            provenance.append(RowProvenance("appended", row, k, distance))
-            k0 = k + 1
+            provenance.append(RowProvenance("appended", row, k0 + n, distance))
+            k0 += n + 1
         row += 1
 
     return LumpingMatrix(

@@ -19,11 +19,11 @@ Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`. ``init`` and ``horizon`` take constant
 expressions. ``^`` binds tighter than unary minus and associates to the left:
 -x^2 is -(x^2) and x^2^3 is (x^2)^3. Operators over constants fold as they
-are parsed, so a constant zero divisor (``1/0``, ``2/(1-1)``) is a syntax
-error, while ``b/0`` parses and fails at evaluation. A syntax error names
-the line, and the column when a token is at fault. Sums of any length parse;
-parentheses or unary minuses nested too deeply for Python's recursion limit
-are a syntax error.
+are parsed, so a constant zero divisor or overflow (``1/0``, ``1e200*1e200``)
+is a syntax error, while ``b/0`` parses and fails at evaluation. A syntax
+error names the line, and the column when a token is at fault. Sums of any
+length parse; parentheses or unary minuses nested too deeply for Python's
+recursion limit are a syntax error.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ class _Column(np.ndarray):
 class Expression:
     """Base class for drift expression nodes. Nodes are immutable; the only
     normalization applied at construction time is constant folding. Every
-    reader of a tree, ``==``, ``hash`` and pickling included, loops over
-    :func:`_postfix`, so a tree of any depth is read without recursion."""
+    reader of a tree, ``==``, ``hash``, ``repr`` and pickling included, loops
+    over :func:`_postfix`, so a tree of any depth is read without recursion."""
 
     __slots__ = ()
 
@@ -209,47 +209,57 @@ class Expression:
     def __reduce__(self):
         return _from_postfix, (_postfix(self),)
 
+    def __repr__(self):
+        done: list[str] = []  # the dataclass repr of each finished operand
+        for kind, arg in _postfix(self):
+            cut = len(done) - len(kind.__slots__) + (arg is not None)  # its operands
+            fields = done[cut:] + ([] if arg is None else [repr(arg)])
+            del done[cut:]
+            pairs = ", ".join(f"{name}={text}" for name, text in zip(kind.__slots__, fields))
+            done.append(f"{kind.__qualname__}({pairs})")
+        return done.pop()
 
-@dataclass(frozen=True, eq=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Constant(Expression):
     value: float
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Variable(Expression):
     index: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Add(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Sub(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Mul(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Div(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Neg(Expression):
     operand: Expression
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class IntPow(Expression):
     """Power with a literal non-negative integer exponent."""
 
@@ -318,7 +328,7 @@ def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
 
     for kind, arg in _postfix(expr):
         if kind is Constant or kind is Variable:
-            text = repr(arg) if kind is Constant else var_names[arg]
+            text = repr(float(arg)) if kind is Constant else var_names[arg]
             done.append((text, 3 if text[0] == "-" else 5))
         elif kind is Neg or kind is IntPow:
             text = operand(_PRECEDENCE[kind])
@@ -704,18 +714,21 @@ class _Line:
 
     def fold(self, node: Expression, column: int) -> Expression:
         """``node`` evaluated to a :class:`Constant` when all of its expression
-        operands are constants, else ``node`` itself. A zero divisor or an
-        overflowing power is a :class:`ModelSyntaxError` at the operator's
-        ``column``."""
+        operands are constants, else ``node`` itself. A zero divisor or a
+        result out of the float range (``10^400``, ``1e200*1e200``) is a
+        :class:`ModelSyntaxError` at the operator's ``column``."""
         operands = [getattr(node, name) for name in node.__slots__]
         if not all(isinstance(v, Constant) for v in operands if isinstance(v, Expression)):
             return node
+        message = "overflow in constant expression"
         try:
-            return Constant(node.evaluate(()))
+            value = node.evaluate(())
+            if math.isfinite(value):
+                return Constant(value)
         except ZeroDivisionError:
             message = "division by zero in constant expression"
         except OverflowError:
-            message = "overflow in constant expression"
+            pass
         self.fail(message, column)
 
 
@@ -845,7 +858,10 @@ def parse_model(text: str) -> OdeSystem:
     m = len(var_names)
     M = np.zeros((len(obs_rows), m))
     for k, (expr, line_no) in enumerate(obs_rows):
-        form = _linear_form(expr, m)
+        try:
+            form = _linear_form(expr, m)
+        except OverflowError:  # a power of a constant, like (a - a + 10)^400
+            raise ModelSyntaxError("overflow in observable", line_no) from None
         if form is None:
             raise ModelSyntaxError("observable must be linear in the state variables", line_no)
         if form[m] != 0.0:

@@ -162,6 +162,16 @@ class TestLump:
                     "--epsilon", "0", "--points", str(points)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_observable_power_overflow_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "big.ode"
+        text = Path(RATIONAL3).read_text()
+        model.write_text(text.replace("obs x1", "obs x1 + (x2 - x2 + 10)^400"))
+        assert run(["lump", "--model", str(model), "--out", str(tmp_path / "o"),
+                    "--epsilon", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow in observable" in err
+
 
 class TestFindEpsilon:
     def test_bisection_artifacts(self, tmp_path, capsys):

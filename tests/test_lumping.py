@@ -14,6 +14,7 @@ from lumpkit.errors import (
     MonotonicityError,
     RankDeficiencyError,
 )
+from lumpkit.lumping import _decide, _measure
 
 from conftest import (
     REFERENCE_ROWS,
@@ -528,6 +529,26 @@ class TestValidFor:
         }
 
 
+SLACK = np.full(4, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "dist, epsilon, lo, decision",
+    [
+        ([1e-13, 5e-13, 0.0, 9e-13], 0.1, 0.02, (4, 0.02)),  # all below the slack
+        ([0.02, 0.05, 1e-13, 0.01], 0.05, 0.0, (4, 0.05)),  # above it, none over epsilon
+        ([0.03, 0.2, 0.09, 0.5], 0.1, 0.0, (1, 0.03)),  # lo only from before the first over
+        ([0.3, 5.0, 1e-14, 7.0], math.inf, 0.4, (4, 7.0)),  # an infinite tolerance
+        ([5e-13, 3e-12, 1.0, 0.0], 0.0, 0.0, (1, 0.0)),  # at 0 the slack decides
+    ],
+    ids=["below_slack", "within_epsilon", "first_over", "infinite", "zero"],
+)
+def test_decide(dist, epsilon, lo, decision):
+    n, new_lo = _decide(np.array(dist), epsilon, SLACK, lo)
+    assert (n, new_lo) == decision
+    assert type(n) is int and type(new_lo) is float
+
+
 def per_check_lump(basis, observables, epsilon):
     """Reference sweep as the paper states it: one (row, matrix) check at a
     time with scalar norms, repeating passes until one appends nothing.
@@ -575,10 +596,8 @@ def second_pass_is_idle(basis, lump):
     for row in L:
         V = row @ basis.matrices
         slack = lk.lumping.ZERO_EPSILON_RTOL * np.linalg.norm(V, axis=1)
-        dist = np.linalg.norm(lk.jacobian.project_out(V, L), axis=1)
-        if np.any(dist > np.fmax(lump.epsilon, slack)):
-            return False
-        if np.max(dist, where=dist > slack, initial=lo) > lo:
+        _, dist = _measure(V, L)
+        if _decide(dist, lump.epsilon, slack, lo) != (len(dist), lo):
             return False
     return True
 

@@ -1052,3 +1052,57 @@ class TestDeepNesting:
         for text in (text, DEEP_NESTING["observable_sum"]):
             system = lk.parse_model(text)
             assert lk.parse_model(system.to_text()) == system
+
+
+def numpy_constant_system():
+    """VALID with ``eq a = 2.0 * b``, its constant a numpy scalar as a
+    program, not the parser, may build it."""
+    system = lk.parse_model(VALID)
+    drift = (Mul(Constant(np.float64(2.0)), Variable(1)), system.drift[1])
+    return dataclasses.replace(system, drift=drift)
+
+
+@pytest.mark.parametrize(
+    "make, position",
+    [
+        (lambda: lk.parse_model(DEEP_NESTING["drift_sum"]), None),
+        (lambda: lk.parse_model(variant("eq a = b", "eq a = 1e200*1e200*a")), (3, 13)),
+        (lambda: lk.parse_model(variant("obs a", "obs b + (a - a + 10)^400")), (7, None)),
+        (numpy_constant_system, None),
+    ],
+    ids=["deep_repr", "folded_overflow", "observable_power", "numpy_constant"],
+)
+def test_model_prints_and_writes_back_or_names_its_line(make, position):
+    """A model's repr and text are readable at any depth and for any float
+    constant, and its text parses back to it; a model whose constants leave
+    the float range is a syntax error on the line at fault, never a model
+    holding inf, never a raw OverflowError."""
+    if position is not None:
+        with pytest.raises(ModelSyntaxError, match="overflow in") as exc_info:
+            make()
+        assert (exc_info.value.line, exc_info.value.column) == position
+        return
+    system = make()
+    try:
+        text = repr(system)
+    except RecursionError:  # fail fast: pytest's report of it compares each frame's locals
+        text = "RecursionError"
+    assert text.startswith(f"OdeSystem(name={system.name!r}, ")
+    assert lk.parse_model(system.to_text()) == system
+
+
+@pytest.mark.parametrize(
+    "expr, text",
+    [
+        (Add(Variable(0), Constant(2.0)), "Add(left=Variable(index=0), right=Constant(value=2.0))"),
+        (IntPow(Neg(Variable(1)), 3), "IntPow(base=Neg(operand=Variable(index=1)), exponent=3)"),
+        (
+            Div(Sub(Constant(-1.5), Variable(0)), Mul(Variable(1), Variable(0))),
+            "Div(left=Sub(left=Constant(value=-1.5), right=Variable(index=0)), "
+            "right=Mul(left=Variable(index=1), right=Variable(index=0)))",
+        ),
+        (Constant(np.float64(2.0)), "Constant(value=np.float64(2.0))"),
+    ],
+)
+def test_repr_is_the_dataclass_form(expr, text):
+    assert repr(expr) == text
