@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 parse or usage error, 2 numeric failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,6 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built on the first main() call, then kept for the process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lumpkit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"lumpkit {__version__}")

@@ -23,6 +23,7 @@ seed reproduces the same basis on any platform.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -173,10 +174,10 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
         if J.shape != (system_dim, system_dim):
             raise DimensionMismatchError("Jacobian sample has wrong shape")
         vec, _ = _scaled_flat(J)
-        scale = float(np.linalg.norm(vec))
+        scale = math.sqrt(vec.dot(vec))
         Q = stack[: len(pts)]
         r = project_out(project_out(vec, Q), Q)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r.dot(r))
         if scale > 0.0 and rnorm > RANK_RTOL * scale:
             if len(pts) == len(stack):  # full: double it, up to the m^2 cap
                 stack = np.vstack((stack, np.empty_like(stack[: cap - len(stack)])))

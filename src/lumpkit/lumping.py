@@ -6,18 +6,18 @@ Exact lumpings leave rsp(L) invariant under every drift Jacobian; the
 approximate variant tolerates invariance defects up to a tolerance epsilon.
 
 The central routine is :func:`approximate_lump`: starting from the
-orthonormalized observable rows it sweeps each row against all basis
-Jacobians in one batch, measures each image's defect against the current row
-space (:func:`_measure`) and appends the normalized defect when the decision
-(:func:`_decide`) finds it larger than epsilon; one pass over the growing
-row list is a fixpoint. :func:`epsilon_max` gives
-the smallest tolerance that collapses the result back to the observables
-alone, the lower end of ``valid_for`` at an infinite tolerance.
-:func:`find_epsilon` bisects between the two extremes to hit a target size
-and :func:`staircase` tabulates size against tolerance, both sweeping once
-per decision interval (``valid_for``). :func:`deviation`
-measures how far a lumping is from exact, at one point or at a block of
-points in one drift call.
+orthonormalized observable rows its sweep (:func:`_sweep`) checks each row
+against all basis Jacobians in one batch, measures each image's defect
+against the current row space (:func:`_measure`) and appends the normalized
+defect when the decision (:func:`_decide`) finds it larger than epsilon; one
+pass over the growing row list is a fixpoint. :func:`epsilon_max` gives the
+smallest tolerance that collapses the result back to the observables alone,
+the lower end of ``valid_for`` at an infinite tolerance. :func:`find_epsilon`
+bisects between the two extremes to hit a target size and :func:`staircase`
+tabulates size against tolerance, both sweeping once per decision interval
+(``valid_for``); the exact check of :func:`find_epsilon` stops at cutoff + 1
+rows. :func:`deviation` measures how far a lumping is from exact, at one
+point or at a block of points in one drift call.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class LumpingMatrix:
 def _measure(V, stack):
     """Each image's defect against the orthonormal ``stack``, and its norm."""
     defects = project_out(V, stack)
-    return defects, np.linalg.norm(defects, axis=1)
+    return defects, np.sqrt(np.add.reduce(defects * defects, axis=1))
 
 
 def _decide(dist, epsilon, slack, lo):
@@ -192,9 +192,9 @@ def _decide(dist, epsilon, slack, lo):
     rows can still be appended, so ``valid_for`` is [lo, hi): lo the largest
     such distance not appended (0 if none), hi the smallest appended distance
     (inf if none)."""
-    over = np.flatnonzero(dist > np.fmax(epsilon, slack))
-    n = int(over[0]) if len(over) else len(dist)
-    return n, float(np.max(dist[:n], where=dist[:n] > slack[:n], initial=lo))
+    over = dist > np.fmax(epsilon, slack)
+    n = int(over.argmax()) if over.any() else len(dist)
+    return n, float(dist[:n][dist[:n] > slack[:n]].max(initial=lo))
 
 
 def approximate_lump(
@@ -213,17 +213,24 @@ def approximate_lump(
     one pass is a fixpoint: a defect measured against a larger row space is
     never larger, and an appended image already lies in the span.
 
-    This is the skeleton (row walk, append, provenance, trace, ``valid_for``).
-    A row's images are measured in one batch (:func:`_measure`) and decided
-    on in order (:func:`_decide`, the one place the tolerance enters); after
-    an append only the unchecked images are measured again, against the grown
-    stack. Decisions, their order and the trace are those of one check at a
-    time, and distances agree with a per-check loop to roundoff.
+    :func:`_sweep` is the skeleton (row walk, append, provenance, trace,
+    ``valid_for``). A row's images are measured in one batch
+    (:func:`_measure`) and decided on in order (:func:`_decide`, the one
+    place the tolerance enters); after an append only the unchecked images
+    are measured again, against the grown stack. Decisions, their order and
+    the trace are those of one check at a time, and distances agree with a
+    per-check loop to roundoff.
 
     The worst case returns all m rows, never an error.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
+    return _sweep(basis, observables, epsilon, record_trace, basis.state_dim)
+
+
+def _sweep(basis, observables, epsilon, record_trace, cap) -> LumpingMatrix | None:
+    """The sweep of :func:`approximate_lump`, or None at the first append
+    that would make row ``cap + 1``: its lumping has more than ``cap`` rows."""
     M = np.atleast_2d(np.asarray(observables, dtype=float))
     m = M.shape[1]
     if basis.state_dim != m:
@@ -241,7 +248,7 @@ def approximate_lump(
     row = 0
     while row < count:
         V = L[row] @ basis.matrices
-        slack = ZERO_EPSILON_RTOL * np.linalg.norm(V, axis=1)
+        slack = ZERO_EPSILON_RTOL * np.sqrt(np.add.reduce(V * V, axis=1))
         k0 = 0
         while k0 < len(V):
             # the images from k0 on are unchecked; every check before
@@ -256,11 +263,13 @@ def approximate_lump(
                 )
             if n == len(dist):
                 break
+            if count == cap:
+                return None
             distance = float(dist[n])
             hi = min(hi, distance)
             # one extra projection pass keeps the stack orthonormal
             defect = project_out(defects[n], cur)
-            L[count] = defect / np.linalg.norm(defect)
+            L[count] = defect / np.sqrt(defect.dot(defect))
             count += 1
             provenance.append(RowProvenance("appended", row, k0 + n, distance))
             k0 += n + 1
@@ -366,7 +375,8 @@ def find_epsilon(
 
     Boundary cases resolve without bisecting: a cutoff below the observable
     rank returns epsilon_max (nothing smaller is achievable), and a cutoff at
-    or above the exact-reduction size returns 0. Otherwise the bracket keeps
+    or above the exact-reduction size returns 0; that check sweeps at 0 only
+    until it would append row cutoff_size + 1. Otherwise the bracket keeps
     size(hi) <= cutoff < size(lo) invariant and halves until its width drops
     below d_min; the returned tolerance is the hi end, whose lumping is
     returned with it.
@@ -382,8 +392,8 @@ def find_epsilon(
     lump_at = _lumps_at(basis, M)
 
     if target >= p:
-        exact = lump_at(0.0)
-        if target >= exact.dim:
+        exact = _sweep(basis, M, 0.0, False, target)
+        if exact is not None:
             return EpsilonSearchResult(
                 epsilon=0.0, lump=exact, iterations=1, boundary="exact_fits_cutoff"
             )

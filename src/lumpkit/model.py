@@ -435,8 +435,9 @@ class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
 
     Invariants checked at construction: one drift expression and one initial
-    value per variable, a positive finite horizon, and an observable matrix
-    with 1 <= p < m whose numerical rank equals its row count.
+    value per variable, finite drift constants, a positive finite horizon,
+    and an observable matrix with 1 <= p < m whose numerical rank equals its
+    row count.
 
     The drift is compiled to one function on first evaluation and cached on
     the instance; it is not part of equality, repr or pickled state.
@@ -457,6 +458,9 @@ class OdeSystem:
         m = len(self.var_names)
         if len(self.drift) != m:
             raise ModelValidationError("one drift expression per variable required")
+        for name, expr in zip(self.var_names, self.drift):
+            if any(kind is Constant and not math.isfinite(arg) for kind, arg in _postfix(expr)):
+                raise ModelValidationError(f"drift of {name} holds a constant that is not finite")
         inits = tuple(map(read_only, self.initial_conditions))
         if any(x0.shape != (m,) for x0 in inits):
             raise ModelValidationError("initial condition has wrong dimension")
@@ -735,7 +739,8 @@ class _Line:
 def _linear_form(expr: Expression, m: int) -> np.ndarray | None:
     """The m coefficients of a linear expression followed by its constant
     term, or None on products of variables, variable denominators, or powers
-    above one of a non-constant (``e^0`` is 1 whatever ``e`` is)."""
+    above one of a non-constant (``e^0`` is 1 whatever ``e`` is). Raises
+    OverflowError as soon as a form leaves the float range."""
     done: list = []  # the form of each finished operand, None if nonlinear
     for kind, arg in _postfix(expr):
         if kind is Constant:
@@ -764,6 +769,8 @@ def _linear_form(expr: Expression, m: int) -> np.ndarray | None:
                     form = None if right[:m].any() else right[m] * left
             else:
                 form = None if right[:m].any() or right[m] == 0.0 else left / right[m]
+        if form is not None and not np.isfinite(form).all():
+            raise OverflowError  # a product or quotient of constants left the float range
         done.append(form)
     return done.pop()
 
@@ -859,8 +866,9 @@ def parse_model(text: str) -> OdeSystem:
     M = np.zeros((len(obs_rows), m))
     for k, (expr, line_no) in enumerate(obs_rows):
         try:
-            form = _linear_form(expr, m)
-        except OverflowError:  # a power of a constant, like (a - a + 10)^400
+            with np.errstate(all="ignore"):  # every form is checked to be finite
+                form = _linear_form(expr, m)
+        except OverflowError:  # a constant that overflows, like (a - a + 10)^400
             raise ModelSyntaxError("overflow in observable", line_no) from None
         if form is None:
             raise ModelSyntaxError("observable must be linear in the state variables", line_no)

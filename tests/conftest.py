@@ -116,16 +116,16 @@ def reference_lump() -> lk.LumpingMatrix:
 
 @pytest.fixture
 def sweep_log(monkeypatch):
-    """Tolerances of the real sweeps run through lk.lumping.approximate_lump,
-    in call order; the wrapper calls through to the sweep."""
-    original = lk.lumping.approximate_lump
+    """Tolerances of the real sweeps run through lk.lumping._sweep, capped or
+    not, in call order; the wrapper calls through to the sweep."""
+    original = lk.lumping._sweep
     log = []
 
-    def counting(basis, observables, epsilon, record_trace=False):
+    def counting(basis, observables, epsilon, record_trace, cap):
         log.append(epsilon)
-        return original(basis, observables, epsilon, record_trace)
+        return original(basis, observables, epsilon, record_trace, cap)
 
-    monkeypatch.setattr(lk.lumping, "approximate_lump", counting)
+    monkeypatch.setattr(lk.lumping, "_sweep", counting)
     return log
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lumpkit as lk
-from lumpkit.cli import main
+from lumpkit.cli import _build_parser, main
 from lumpkit.errors import MonotonicityError
 
 from conftest import DEEP_NESTING, NON_FINITE
@@ -162,15 +162,24 @@ class TestLump:
                     "--epsilon", "0", "--points", str(points)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_observable_power_overflow_exits_1(self, tmp_path, capsys):
+    @staticmethod
+    def assert_observable_overflow_exits_1(tmp_path, capsys, observable):
         model = tmp_path / "big.ode"
         text = Path(RATIONAL3).read_text()
-        model.write_text(text.replace("obs x1", "obs x1 + (x2 - x2 + 10)^400"))
+        model.write_text(text.replace("obs x1", f"obs {observable}"))
         assert run(["lump", "--model", str(model), "--out", str(tmp_path / "o"),
                     "--epsilon", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow in observable" in err
+
+    def test_observable_power_overflow_exits_1(self, tmp_path, capsys):
+        self.assert_observable_overflow_exits_1(tmp_path, capsys, "x1 + (x2 - x2 + 10)^400")
+
+    def test_observable_product_overflow_exits_1(self, tmp_path, capsys):
+        # the product's form is inf, and inf times the zero coefficients of x1 nan
+        observable = "x1 + (x2 - x2 + 1e200)*(x2 - x2 + 1e200)*x1"
+        self.assert_observable_overflow_exits_1(tmp_path, capsys, observable)
 
 
 class TestFindEpsilon:
@@ -473,3 +482,17 @@ class TestParser:
             main(["--version"])
         assert exc_info.value.code == 0
         assert "lumpkit" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_outlives_a_usage_error(self, tmp_path, capsys):
+        argv = ["lump", "--model", RATIONAL3, "--seed", "1", "--epsilon", "0.1"]
+        assert run(argv) == 1  # no --out
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run([*argv, "--out", str(tmp_path / "reused")]) == 0
+        assert _build_parser() is _build_parser()
+
+        package_root = str(Path(lk.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([package_root, env.get("PYTHONPATH", "")])
+        fresh = [*argv, "--out", str(tmp_path / "fresh")]
+        subprocess.run([sys.executable, "-m", "lumpkit.cli", *fresh], env=env, check=True, timeout=120)
+        assert_same_artifacts(tmp_path / "reused", tmp_path / "fresh")

@@ -493,6 +493,87 @@ class TestSweepCounts:
         assert built == sweep_log
 
 
+def uncapped_search(basis, observables, cutoff, d_min=1e-6):
+    """find_epsilon with an exact check that sweeps at 0 to the end: the
+    full lumping at 0 (lump_at(0.0)) and its size decide the boundary case,
+    then the same bisection. Returns the fields of an EpsilonSearchResult."""
+    lump_at = lk.lumping._lumps_at(basis, observables)
+    p = len(observables)
+    if cutoff >= p and lump_at(0.0).dim <= cutoff:
+        return 0.0, lump_at(0.0), 1, (), "exact_fits_cutoff"
+    best = lump_at(math.inf)
+    lo, hi = 0.0, best.valid_for[0]
+    if cutoff < p:
+        return hi, best, 1, (), "cutoff_below_observable_rank"
+    history, iterations = [], 0
+    while hi - lo >= d_min:
+        iterations += 1
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        candidate = lump_at(mid)
+        history.append(lk.lumping.SearchStep(iterations, lo, hi, mid, candidate.dim))
+        if candidate.dim <= cutoff:
+            hi, best = mid, candidate
+        else:
+            lo = mid
+    return hi, best, iterations, tuple(history), None
+
+
+class TestCappedExactCheck:
+    """find_epsilon's exact check stops at the first append that would make
+    row cutoff + 1, so it answers "does the exact lumping fit?" without
+    sweeping the rest; the search result is the uncapped one bit for bit."""
+
+    def test_every_cutoff_matches_the_uncapped_search(self, random_corpus):
+        cases = [(basis, system.observables) for system, basis, _ in random_corpus]
+        cases += list(bundled_bases())
+        for n in (3, 4, 5):
+            system = lk.parse_model(phosphorylation_model(n, delta=0.05))
+            basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+            cases.append((basis, system.observables))
+        boundaries = set()
+        for basis, observables in cases:
+            for cutoff in range(basis.state_dim + 1):
+                result = lk.find_epsilon(basis, observables, lk.EpsilonSearchConfig(cutoff))
+                epsilon, lump, iterations, history, boundary = uncapped_search(
+                    basis, observables, cutoff
+                )
+                assert (result.epsilon, result.iterations) == (epsilon, iterations)
+                assert (result.history, result.boundary) == (history, boundary)
+                assert result.lump.matrix.tobytes() == lump.matrix.tobytes()
+                assert result.lump.provenance == lump.provenance
+                boundaries.add(boundary)
+        assert boundaries == {None, "exact_fits_cutoff", "cutoff_below_observable_rank"}
+
+    def test_exact_check_appends_at_most_cutoff_rows(self, monkeypatch):
+        # perturbed phosphorylation at n = 6: the exact lumping has all 65
+        # rows, the cutoff 3; appends are counted per sweep, the aborted one
+        # included, so the work does not depend on the host
+        system = lk.parse_model(phosphorylation_model(6, delta=0.05))
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        M = system.observables
+        sweep, decide = lk.lumping._sweep, lk.lumping._decide
+        appends = []
+
+        def counting_sweep(*args):
+            appends.append(0)
+            return sweep(*args)
+
+        def counting_decide(dist, *args):
+            n, lo = decide(dist, *args)
+            appends[-1] += n < len(dist)
+            return n, lo
+
+        monkeypatch.setattr(lk.lumping, "_sweep", counting_sweep)
+        monkeypatch.setattr(lk.lumping, "_decide", counting_decide)
+        result = lk.find_epsilon(basis, M, lk.EpsilonSearchConfig(cutoff_size=3))
+        assert result.boundary is None and result.lump.dim <= 3
+        assert appends[0] <= 4
+        assert lk.approximate_lump(basis, M, 0.0).dim == 65
+        assert appends[-1] == 64
+
+
 class TestValidFor:
     @staticmethod
     def assert_interval_holds(basis, observables, eps):

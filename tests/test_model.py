@@ -455,6 +455,15 @@ class TestParsing:
         with pytest.raises(ModelValidationError, match=message):
             dataclasses.replace(rational3, **{field: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_drift_constant_rejected(self, value):
+        # the parser rejects such constants, but a tree built in code may hold
+        # one, and to_text would write it as "inf", which does not parse back
+        system = lk.parse_model(VALID)
+        drift = (Mul(Constant(value), Variable(1)), system.drift[1])
+        with pytest.raises(ModelValidationError, match="drift of a holds a constant that is not finite"):
+            dataclasses.replace(system, drift=drift)
+
     def test_missing_pieces_rejected(self):
         with pytest.raises(ModelSyntaxError, match="horizon"):
             lk.parse_model(
@@ -940,19 +949,18 @@ class TestCompiledDrift:
         assert_matches_tree_walk(system, np.array([2.0, 1.5]))
 
     def test_constants_bound_by_value(self):
-        # the parser rejects "1e400", but a tree built in code may hold inf,
-        # whose repr does not parse back as a number
+        # a tree built in code may hold a numpy scalar, whose repr
+        # np.float64(-1.5) does not parse back as a number
         system = lk.OdeSystem(
             name="built",
             var_names=("a", "b"),
-            drift=(Mul(Constant(math.inf), Variable(1)), Add(Variable(0), Constant(-0.0))),
+            drift=(Mul(Constant(np.float64(-1.5)), Variable(1)), Add(Variable(0), Constant(-0.0))),
             initial_conditions=([1.0, 1.0],),
             time_horizon=1.0,
             observables=[[1.0, 0.0]],
         )
-        with np.errstate(invalid="ignore"):  # inf times a zero partial
-            assert_matches_tree_walk(system, np.array([0.5, -2.0]))
-        assert lk.evaluate_drift(system, np.array([0.5, -2.0]))[0] == -math.inf
+        assert_matches_tree_walk(system, np.array([0.5, -2.0]))
+        assert lk.evaluate_drift(system, np.array([0.5, -2.0]))[0] == 3.0
 
     @pytest.mark.parametrize(
         "body, x, cause, error",
@@ -1068,9 +1076,13 @@ def numpy_constant_system():
         (lambda: lk.parse_model(DEEP_NESTING["drift_sum"]), None),
         (lambda: lk.parse_model(variant("eq a = b", "eq a = 1e200*1e200*a")), (3, 13)),
         (lambda: lk.parse_model(variant("obs a", "obs b + (a - a + 10)^400")), (7, None)),
+        (
+            lambda: lk.parse_model(variant("obs a", "obs b + (a - a + 1e200)*(a - a + 1e200)*b")),
+            (7, None),
+        ),
         (numpy_constant_system, None),
     ],
-    ids=["deep_repr", "folded_overflow", "observable_power", "numpy_constant"],
+    ids=["deep_repr", "folded_overflow", "observable_power", "observable_product", "numpy_constant"],
 )
 def test_model_prints_and_writes_back_or_names_its_line(make, position):
     """A model's repr and text are readable at any depth and for any float
