@@ -166,8 +166,8 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
     given, once that many consecutive candidates are dependent; candidates
     after that are never drawn."""
     cap = system_dim * system_dim
-    stack = np.empty((min(cap, 4 * system_dim), cap))
-    mats = np.empty((system_dim, system_dim, system_dim))  # one block's worth
+    stack = np.empty((system_dim, cap))  # one block's worth, like mats
+    mats = np.empty((system_dim, system_dim, system_dim))
     pts: list[np.ndarray | None] = []
     dependent_run = 0
     for J, point in candidates:
@@ -179,9 +179,8 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
         r = project_out(project_out(vec, Q), Q)
         rnorm = math.sqrt(r.dot(r))
         if scale > 0.0 and rnorm > RANK_RTOL * scale:
-            if len(pts) == len(stack):  # full: double it, up to the m^2 cap
+            if len(pts) == len(stack):  # full: double both, up to the m^2 cap
                 stack = np.vstack((stack, np.empty_like(stack[: cap - len(stack)])))
-            if len(pts) == len(mats):
                 mats = np.vstack((mats, np.empty_like(mats[: cap - len(mats)])))
             stack[len(pts)] = r / rnorm
             mats[len(pts)] = J  # a copy, so the evaluated block J came from is freed
@@ -238,6 +237,9 @@ def sample_jacobians(system: OdeSystem, domain: SamplingDomain, block_size, eval
     limit = domain.max_resamples if domain.max_resamples is not None else 100 * m
     rng = np.random.Generator(np.random.PCG64(domain.seed))
     queue = deque(np.asarray(x, dtype=float) for x in points)
+    for i, x in enumerate(queue):
+        if x.shape != (m,):
+            raise ValueError(f"sample point {i} is not a vector of length {m}: shape {x.shape}")
     failures = yielded = 0
     while True:
         size = block_size(yielded)

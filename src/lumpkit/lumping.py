@@ -15,9 +15,10 @@ smallest tolerance that collapses the result back to the observables alone,
 the lower end of ``valid_for`` at an infinite tolerance. :func:`find_epsilon`
 bisects between the two extremes to hit a target size and :func:`staircase`
 tabulates size against tolerance, both sweeping once per decision interval
-(``valid_for``); the exact check of :func:`find_epsilon` stops at cutoff + 1
-rows. :func:`deviation` measures how far a lumping is from exact, at one
-point or at a block of points in one drift call.
+(``valid_for``) and holding only the lumpings whose interval can still hold
+the next tolerance; the exact check of :func:`find_epsilon` stops at
+cutoff + 1 rows. :func:`deviation` measures how far a lumping is from exact,
+at one point or at a block of points in one drift call.
 """
 
 from __future__ import annotations
@@ -323,8 +324,8 @@ class EpsilonSearchConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.cutoff_size < 0:
-            raise ValueError("cutoff_size must be non-negative")
+        if not (self.cutoff_size >= 0 and float(self.cutoff_size).is_integer()):
+            raise ValueError("cutoff_size must be a non-negative whole number")
         if not (self.d_min > 0):
             raise ValueError("d_min must be positive")
         if self.max_iterations < 1:
@@ -350,23 +351,6 @@ class EpsilonSearchResult:
     boundary: str | None = None
 
 
-def _lumps_at(basis: JacobianBasis, observables):
-    """``lump_at(eps)``, :func:`approximate_lump` swept once per decision
-    interval: a tolerance inside the ``valid_for`` of a lumping already swept
-    gets that lumping itself, whose ``epsilon`` is the tolerance it was swept
-    at; its matrix and provenance are those of a sweep at ``eps``."""
-    swept: list[LumpingMatrix] = []
-
-    def lump_at(eps: float) -> LumpingMatrix:
-        for known in swept:
-            if known.valid_for[0] <= eps < known.valid_for[1]:
-                return known
-        swept.append(approximate_lump(basis, observables, eps))
-        return swept[-1]
-
-    return lump_at
-
-
 def find_epsilon(
     basis: JacobianBasis, observables, config: EpsilonSearchConfig
 ) -> EpsilonSearchResult:
@@ -382,14 +366,16 @@ def find_epsilon(
     returned with it.
 
     epsilon_max and the observables-only lumping come from one sweep at an
-    infinite tolerance (see :func:`epsilon_max`), and the search sweeps once
-    per decision interval (see :func:`_lumps_at`), which gives the same
-    result bit for bit.
+    infinite tolerance (see :func:`epsilon_max`). A midpoint inside the
+    ``valid_for`` of ``best`` (which holds hi) or of the last lumping too
+    large (which holds lo) takes that lumping; any other is swept. No other
+    earlier sweep can match: every earlier tolerance lies outside the open
+    bracket, so an earlier interval that holds the midpoint also holds lo or
+    hi, and intervals of different sweeps are disjoint.
     """
     M = np.atleast_2d(np.asarray(observables, dtype=float))
     p = len(M)
     target = config.cutoff_size
-    lump_at = _lumps_at(basis, M)
 
     if target >= p:
         exact = _sweep(basis, M, 0.0, False, target)
@@ -398,7 +384,7 @@ def find_epsilon(
                 epsilon=0.0, lump=exact, iterations=1, boundary="exact_fits_cutoff"
             )
 
-    best = lump_at(math.inf)
+    best = approximate_lump(basis, M, math.inf)
     lo, hi = 0.0, best.valid_for[0]
     if target < p:
         lump = replace(best, epsilon=hi)
@@ -408,6 +394,7 @@ def find_epsilon(
 
     history: list[SearchStep] = []
     iterations = 0
+    too_large = None
     while hi - lo >= config.d_min:
         iterations += 1
         if iterations > config.max_iterations:
@@ -417,13 +404,15 @@ def find_epsilon(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket is below float resolution
-        candidate = lump_at(mid)
+        held = [k for k in (best, too_large) if k and k.valid_for[0] <= mid < k.valid_for[1]]
+        candidate = held[0] if held else approximate_lump(basis, M, mid)
         history.append(SearchStep(iterations, lo, hi, mid, candidate.dim))
         if candidate.dim <= target:
             hi = mid
             best = candidate
         else:
             lo = mid
+            too_large = candidate
     return EpsilonSearchResult(
         epsilon=hi, lump=replace(best, epsilon=hi), iterations=iterations, history=tuple(history)
     )
@@ -431,16 +420,20 @@ def find_epsilon(
 
 def staircase(basis: JacobianBasis, observables, grid) -> tuple[tuple[float, int], ...]:
     """Reduction size at each tolerance of the grid, in ascending tolerance
-    order, sweeping once per decision interval the grid touches. Sizes must
-    not increase with the tolerance; a violation raises
-    :class:`~lumpkit.errors.MonotonicityError` naming the offending pair."""
+    order, sweeping once per decision interval the grid touches: the last
+    lumping serves every tolerance up to the top of its ``valid_for``, and no
+    earlier one can, as the grid is sorted. Sizes must not increase with the
+    tolerance; a violation raises :class:`~lumpkit.errors.MonotonicityError`
+    naming the offending pair."""
     eps_values = sorted(float(e) for e in grid)
     if not all(e >= 0 for e in eps_values):
         raise ValueError("grid tolerances must be non-negative numbers")
-    lump_at = _lumps_at(basis, observables)
+    lump = None
     pairs: list[tuple[float, int]] = []
     for eps in eps_values:
-        size = lump_at(eps).dim
+        if lump is None or eps >= lump.valid_for[1]:
+            lump = approximate_lump(basis, observables, eps)
+        size = lump.dim
         if pairs and size > pairs[-1][1]:
             raise MonotonicityError(
                 f"reduction size grew with the tolerance: size {pairs[-1][1]} at "

@@ -162,6 +162,14 @@ class TestLump:
                     "--epsilon", "0", "--points", str(points)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_flat_points_list_exits_1(self, tmp_path, capsys):
+        points = tmp_path / "points.json"
+        points.write_text("[1, 2, 3]")
+        assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--epsilon", "0", "--points", str(points)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample point 0 is not a vector of length 3: shape ()\n"
+
     @staticmethod
     def assert_observable_overflow_exits_1(tmp_path, capsys, observable):
         model = tmp_path / "big.ode"

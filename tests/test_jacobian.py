@@ -239,9 +239,9 @@ def vstack_basis(system_dim, candidates, confirmations=None):
 
 
 class TestBasisStack:
-    """The rank test fills a preallocated stack of min(m^2, 4m) rows and
-    doubles it when full; the basis is the one a stack regrown on every
-    accepted candidate gives, bit for bit."""
+    """The rank test fills a preallocated stack and matrix buffer of m rows
+    each and doubles both when full; the basis is the one a stack regrown on
+    every accepted candidate gives, bit for bit."""
 
     @staticmethod
     def assert_matches_vstack(monkeypatch, build, *args):
@@ -256,13 +256,14 @@ class TestBasisStack:
     @pytest.mark.parametrize("m", (5, 10))
     def test_growth_past_the_initial_capacity(self, m, monkeypatch):
         # m^2 random matrices with a dependent one after every fifth: at
-        # m = 10 the stack grows 40 -> 80 -> 100 rows, at m = 5 20 -> 25
+        # m = 10 the buffers grow 10 -> 20 -> 40 -> 80 -> 100 rows, at m = 5
+        # 5 -> 10 -> 20 -> 25
         rng = np.random.Generator(np.random.PCG64(m))
         mats = list(rng.normal(size=(m * m, m, m)))
         for i in range(5, len(mats) + len(mats) // 5, 6):
             mats.insert(i, mats[i - 1] - 2.0 * mats[i - 3])
         basis = self.assert_matches_vstack(monkeypatch, lk.basis_from_matrices, mats)
-        assert basis.dimension == m * m > min(m * m, 4 * m)
+        assert basis.dimension == m * m > 4 * m  # doubled past 2m and 4m
 
     def test_sampled_bases(
         self, rational3, rational3_perturbed, poly4, random_corpus, monkeypatch
@@ -275,6 +276,21 @@ class TestBasisStack:
             for seed in range(2):
                 domain = lk.default_domain(system, seed=seed)
                 self.assert_matches_vstack(monkeypatch, lk.sample_jacobian_basis, system, domain)
+
+
+@pytest.mark.parametrize(
+    "points, index",
+    [
+        ([1.0, 2.0, 3.0], 0),  # a flat list is three scalars, not one point
+        ([[1.0, 5.0, 2.0], [3.0, 3.0]], 1),
+        ([[1.0, 5.0, 2.0], [[3.0, 3.0, 2.0]]], 1),
+    ],
+    ids=["flat", "short", "nested"],
+)
+def test_initial_points_must_be_state_vectors(rational3, points, index):
+    domain = lk.default_domain(rational3)
+    with pytest.raises(ValueError, match=f"sample point {index} is not a vector of length 3"):
+        lk.sample_jacobian_basis(rational3, domain, initial_points=points)
 
 
 class TestBlockSampling:

@@ -1,5 +1,6 @@
 """Lumping sweep, tolerance extremes, and the size-targeted bisection."""
 
+import contextlib
 import math
 from operator import attrgetter
 
@@ -407,10 +408,30 @@ class TestFindEpsilon:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             lk.EpsilonSearchConfig(cutoff_size=-1)
+        for cutoff in (1.5, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                lk.EpsilonSearchConfig(cutoff_size=cutoff)
         with pytest.raises(ValueError):
             lk.EpsilonSearchConfig(cutoff_size=1, d_min=0.0)
         with pytest.raises(ValueError):
             lk.EpsilonSearchConfig(cutoff_size=1, max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "name, cutoff", [("rational3", 1), ("rational3_perturbed", 2), ("poly4", 3)]
+    )
+    def test_whole_cutoff_of_any_type(self, name, cutoff):
+        # cutoff + 0.5 is rejected (test_config_validation); it used to be
+        # answered as "the exact lumping fits" with cutoff + 1 rows
+        system = lk.parse_model(model_path(f"{name}.ode").read_text())
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        results = [
+            lk.find_epsilon(basis, system.observables, lk.EpsilonSearchConfig(c))
+            for c in (cutoff, np.int64(cutoff), float(cutoff))
+        ]
+        assert results[0].lump.dim <= cutoff
+        for result in results[1:]:
+            assert (result.epsilon, result.history) == (results[0].epsilon, results[0].history)
+            assert result.boundary == results[0].boundary
 
 
 class TestFindEpsilonReuse:
@@ -494,13 +515,18 @@ class TestSweepCounts:
 
 
 def uncapped_search(basis, observables, cutoff, d_min=1e-6):
-    """find_epsilon with an exact check that sweeps at 0 to the end: the
-    full lumping at 0 (lump_at(0.0)) and its size decide the boundary case,
-    then the same bisection. Returns the fields of an EpsilonSearchResult."""
-    lump_at = lk.lumping._lumps_at(basis, observables)
+    """find_epsilon with an exact check that sweeps at 0 to the end and a
+    bisection that sweeps at every midpoint: the full lumping at 0 and its
+    size decide the boundary case, then the same bisection. Returns the
+    fields of an EpsilonSearchResult."""
+
+    def lump_at(eps):
+        return lk.approximate_lump(basis, observables, eps)
+
     p = len(observables)
-    if cutoff >= p and lump_at(0.0).dim <= cutoff:
-        return 0.0, lump_at(0.0), 1, (), "exact_fits_cutoff"
+    exact = lump_at(0.0)
+    if cutoff >= p and exact.dim <= cutoff:
+        return 0.0, exact, 1, (), "exact_fits_cutoff"
     best = lump_at(math.inf)
     lo, hi = 0.0, best.valid_for[0]
     if cutoff < p:
@@ -526,14 +552,8 @@ class TestCappedExactCheck:
     sweeping the rest; the search result is the uncapped one bit for bit."""
 
     def test_every_cutoff_matches_the_uncapped_search(self, random_corpus):
-        cases = [(basis, system.observables) for system, basis, _ in random_corpus]
-        cases += list(bundled_bases())
-        for n in (3, 4, 5):
-            system = lk.parse_model(phosphorylation_model(n, delta=0.05))
-            basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
-            cases.append((basis, system.observables))
         boundaries = set()
-        for basis, observables in cases:
+        for basis, observables in search_cases(random_corpus):
             for cutoff in range(basis.state_dim + 1):
                 result = lk.find_epsilon(basis, observables, lk.EpsilonSearchConfig(cutoff))
                 epsilon, lump, iterations, history, boundary = uncapped_search(
@@ -572,6 +592,50 @@ class TestCappedExactCheck:
         assert appends[0] <= 4
         assert lk.approximate_lump(basis, M, 0.0).dim == 65
         assert appends[-1] == 64
+
+
+class TestReuseRule:
+    """One find_epsilon or staircase run never sweeps at a tolerance inside
+    the valid_for of an earlier sweep of that run: the lumpings it holds are
+    all the ones that can still match."""
+
+    @staticmethod
+    def checked_sweeps(monkeypatch):
+        """The valid_for of each approximate_lump call since the list was
+        last cleared; a call inside one of them fails the test."""
+        original = lk.lumping.approximate_lump
+        swept = []
+
+        def checking(basis, observables, epsilon, record_trace=False):
+            assert not any(lo <= epsilon < hi for lo, hi in swept), (epsilon, swept)
+            lump = original(basis, observables, epsilon, record_trace)
+            swept.append(lump.valid_for)
+            return lump
+
+        monkeypatch.setattr(lk.lumping, "approximate_lump", checking)
+        return swept
+
+    def test_find_epsilon_at_every_cutoff(self, random_corpus, monkeypatch):
+        cases = search_cases(random_corpus)
+        swept = self.checked_sweeps(monkeypatch)
+        reused = 0
+        for basis, observables in cases:
+            for cutoff in range(basis.state_dim + 1):
+                swept.clear()
+                result = lk.find_epsilon(basis, observables, lk.EpsilonSearchConfig(cutoff))
+                reused += len(result.history) + 1 > len(swept)
+        assert reused > 0
+
+    def test_staircase_grids(self, random_corpus, monkeypatch):
+        cases = search_cases(random_corpus)
+        swept = self.checked_sweeps(monkeypatch)
+        for basis, observables in cases:
+            top = lk.epsilon_max(basis, observables)
+            for points in (50, 257):
+                swept.clear()
+                with contextlib.suppress(MonotonicityError):
+                    lk.staircase(basis, observables, np.linspace(0.0, top, points))
+                assert 0 < len(swept) < points
 
 
 class TestValidFor:
@@ -689,6 +753,18 @@ def bundled_bases():
         for seed in range(4):
             domain = lk.default_domain(system, seed=seed)
             yield lk.sample_jacobian_basis(system, domain), system.observables
+
+
+def search_cases(random_corpus):
+    """(basis, observables) of the random corpus, the 12 bundled bases and
+    perturbed phosphorylation at n = 3-5 (basis seed 0)."""
+    cases = [(basis, system.observables) for system, basis, _ in random_corpus]
+    cases += list(bundled_bases())
+    for n in (3, 4, 5):
+        system = lk.parse_model(phosphorylation_model(n, delta=0.05))
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        cases.append((basis, system.observables))
+    return cases
 
 
 class TestBatchedSweep:
