@@ -34,7 +34,7 @@ from .errors import (
     MonotonicityError,
     RankDeficiencyError,
 )
-from .jacobian import JacobianBasis, project_out
+from .jacobian import RANK_RTOL, JacobianBasis, project_out
 from .model import OdeSystem, equal_values, evaluate_drift, read_only
 
 __all__ = [
@@ -60,16 +60,17 @@ ZERO_EPSILON_RTOL = 1e-12
 _ORTHONORMALITY_ATOL = 1e-10
 
 
-def orthonormalize_rows(matrix, rank_rtol: float = 1e-9) -> np.ndarray:
+def orthonormalize_rows(matrix) -> np.ndarray:
     """Orthonormalize rows in order (two classical Gram-Schmidt passes per
     row). Raises :class:`~lumpkit.errors.RankDeficiencyError` when a row is
-    numerically dependent on the rows before it."""
+    numerically dependent on the rows before it, at relative tolerance
+    :data:`~lumpkit.jacobian.RANK_RTOL`."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     Q = np.empty_like(M)
     for i, row in enumerate(M):
         r = project_out(project_out(row, Q[:i]), Q[:i])
         norm = float(np.linalg.norm(r))
-        if norm <= rank_rtol * max(float(np.linalg.norm(row)), 1e-300):
+        if norm <= RANK_RTOL * max(float(np.linalg.norm(row)), 1e-300):
             raise RankDeficiencyError(f"row {i} is linearly dependent on earlier rows")
         Q[i] = r / norm
     return Q
@@ -185,6 +186,15 @@ def _measure(V, stack):
     return defects, np.sqrt(np.add.reduce(defects * defects, axis=1))
 
 
+def _scale_exponents(V) -> np.ndarray | None:
+    """None, or when the squared norm of a row of V could overflow, each
+    row's e with max|row| = f * 2**e (0.5 <= f < 1): scaled by ``2**-e`` no
+    row overflows, and a power-of-two scale is exact, as in
+    :func:`~lumpkit.jacobian._scaled_flat`."""
+    top = float(np.abs(V).max(initial=0.0))
+    return np.frexp(np.abs(V).max(axis=1))[1] if math.isinf(top * top * V.shape[1]) else None
+
+
 def _decide(dist, epsilon, slack, lo):
     """The decision on a batch of checks in order: n, the checks before the
     first append (``len(dist)`` if none), and ``lo`` raised to the largest of
@@ -249,13 +259,19 @@ def _sweep(basis, observables, epsilon, record_trace, cap) -> LumpingMatrix | No
     row = 0
     while row < count:
         V = L[row] @ basis.matrices
-        slack = ZERO_EPSILON_RTOL * np.sqrt(np.add.reduce(V * V, axis=1))
+        e = _scale_exponents(V)
+        if e is not None:  # images measured at 2**-e; slack and distances in true units
+            V = np.ldexp(V, -e[:, None])
+        norms = np.sqrt(np.add.reduce(V * V, axis=1))
+        slack = ZERO_EPSILON_RTOL * (norms if e is None else np.ldexp(norms, e))
         k0 = 0
         while k0 < len(V):
             # the images from k0 on are unchecked; every check before
             # the first append among them is final as measured here
             cur = L[:count]
             defects, dist = _measure(V[k0:], cur)
+            if e is not None:
+                dist = np.ldexp(dist, e[k0:])
             n, lo = _decide(dist, epsilon, slack[k0:], lo) if count < m else (len(dist), lo)
             if record_trace:
                 trace.extend(

@@ -3,8 +3,8 @@
 A model is a system x' = f(x) together with one or more initial conditions,
 a linear observable matrix M, and a time horizon. Drift components are stored
 as expression trees, and every reader of a tree loops over its postfix list
-(:func:`_postfix`), so a tree of any depth is read without recursion. On
-first use each system compiles its drift to one Python function that returns
+(:func:`_postfix`), so a tree of any depth is read without recursion. Each
+system compiles its drift as it is built, to one Python function that returns
 all m components as nested expressions (with a temporary every 50 levels of
 parentheses) and applies the same operators in the same order as
 :meth:`Expression.evaluate`; the same code evaluates plain floats and dual
@@ -32,7 +32,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -372,7 +371,7 @@ def _nested_code(expr: Expression, body: list[str], constants: list) -> str:
     return done[0][0]
 
 
-def _compile_drift(name: str, drift: Sequence[Expression]) -> Callable:
+def _compile_drift(name: str, var_names: Sequence[str], drift: Sequence[Expression]) -> Callable:
     """One function ``f(v)``, defined by a single ``exec``, that returns the
     list of all drift components, each the nested code of :func:`_nested_code`
     with a temporary every ``_SPILL_HEIGHT`` levels, built without recursion,
@@ -380,14 +379,18 @@ def _compile_drift(name: str, drift: Sequence[Expression]) -> Callable:
     ``drift[i].evaluate(v)``, so the results agree bit for bit, on floats and
     on :class:`DualVector` alike, and so do the errors raised; a
     ``ZeroDivisionError`` or ``OverflowError`` gets the failing i as its
-    ``component`` attribute."""
+    ``component`` attribute. A constant that is not finite raises
+    :class:`~lumpkit.errors.ModelValidationError` naming its variable."""
     constants: list = []
     lines = ["def f(v):", "    try:"]
     for i, expr in enumerate(drift):
         # each component numbers its temporaries from t0 again, so the next
         # one rebinds and frees them, as returning from a function would
         body: list[str] = []
+        first = len(constants)
         result = _nested_code(expr, body, constants)
+        if not all(map(math.isfinite, constants[first:])):
+            raise ModelValidationError(f"drift of {var_names[i]} holds a constant that is not finite")
         lines.append(f"        i = {i}")
         lines.extend(f"        {statement}" for statement in body)
         lines.append(f"        r{i} = {result}")
@@ -435,12 +438,13 @@ class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
 
     Invariants checked at construction: one drift expression and one initial
-    value per variable, finite drift constants, a positive finite horizon,
-    and an observable matrix with 1 <= p < m whose numerical rank equals its
-    row count.
+    value per variable, finite drift constants and initial values, a positive
+    finite horizon, and a finite observable matrix with 1 <= p < m whose
+    numerical rank equals its row count.
 
-    The drift is compiled to one function on first evaluation and cached on
-    the instance; it is not part of equality, repr or pickled state.
+    The drift is compiled to one function when the system is built; it is
+    not a field, so not part of equality or repr. Pickling and copying go
+    through the constructor, and each copy compiles its own.
     """
 
     name: str
@@ -458,14 +462,14 @@ class OdeSystem:
         m = len(self.var_names)
         if len(self.drift) != m:
             raise ModelValidationError("one drift expression per variable required")
-        for name, expr in zip(self.var_names, self.drift):
-            if any(kind is Constant and not math.isfinite(arg) for kind, arg in _postfix(expr)):
-                raise ModelValidationError(f"drift of {name} holds a constant that is not finite")
+        object.__setattr__(self, "_drift_function", _compile_drift(self.name, self.var_names, self.drift))
         inits = tuple(map(read_only, self.initial_conditions))
         if any(x0.shape != (m,) for x0 in inits):
             raise ModelValidationError("initial condition has wrong dimension")
         if not inits:
             raise ModelValidationError("at least one initial condition required")
+        if not all(np.isfinite(x0).all() for x0 in inits):
+            raise ModelValidationError("initial condition holds a value that is not finite")
         object.__setattr__(self, "initial_conditions", inits)
         if not (0 < self.time_horizon < math.inf):
             raise ModelValidationError("time horizon must be positive and finite")
@@ -477,6 +481,8 @@ class OdeSystem:
             raise ModelValidationError(
                 f"observable count must satisfy 1 <= p < m (got p={p}, m={m})"
             )
+        if not np.isfinite(M).all():
+            raise ModelValidationError("observable matrix holds an entry that is not finite")
         if np.linalg.matrix_rank(M) != p:
             raise ModelValidationError("observable matrix is rank-deficient")
         object.__setattr__(self, "observables", M)
@@ -485,15 +491,8 @@ class OdeSystem:
     def dim(self) -> int:
         return len(self.var_names)
 
-    @cached_property
-    def _drift_function(self) -> Callable:
-        return _compile_drift(self.name, self.drift)
-
-    def __getstate__(self):
-        # the compiled function does not pickle; the copy compiles its own
-        state = self.__dict__.copy()
-        state.pop("_drift_function", None)
-        return state
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def to_text(self) -> str:
         """Serialize back to the model text format."""

@@ -246,7 +246,8 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
         final_step = h >= horizon - t
         if final_step:
             h = horizon - t
-        if h <= _MIN_RELATIVE_STEP * max(abs(t), 1.0):
+        # a step that lands on the horizon ends the run, however short
+        if not final_step and h <= _MIN_RELATIVE_STEP * max(abs(t), 1.0):
             raise IntegrationError(
                 f"step size underflow at t={t!r} after {rejected_streak} rejections; "
                 "the system looks stiff for an explicit solver",
@@ -404,7 +405,6 @@ def reduction_report(
     horizon: float | None = None,
     config: SolverConfig | None = None,
     grid_points: int = 200,
-    lipschitz_samples: int = 64,
     seed: int = 0,
 ) -> ReductionReport:
     """Integrate the original and the reduced system and report the error
@@ -450,7 +450,7 @@ def reduction_report(
     lower = np.where(degenerate, lower - pad, lower)
     upper = np.where(degenerate, upper + pad, upper)
     box = SamplingDomain(lower=lower, upper=upper, seed=seed)
-    C = estimate_lipschitz(system, box, lipschitz_samples)
+    C = estimate_lipschitz(system, box)
 
     K = error_bound_constant(
         C, float(np.linalg.norm(L, 2)), float(np.linalg.norm(L.T, 2)), T

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -188,6 +189,23 @@ class TestExactLumping:
     def test_nan_tolerance_rejected(self, worked_basis):
         with pytest.raises(ValueError, match="epsilon"):
             lk.approximate_lump(worked_basis, OBS_X1, np.nan)
+
+    def test_images_whose_squares_overflow_append(self):
+        # Jacobian entries up to 2.3e217: the squared norms of the images of
+        # row a overflow, so the sweep measures them at a power-of-two scale
+        system = lk.parse_model(
+            "model big\nvar a, b, c\neq a = c * a^200\neq b = a\neq c = -c\n"
+            "init a = 1\ninit b = 1\ninit c = 1\nobs b\nhorizon 1\n"
+        )
+        basis = lk.basis_from_points(system, [(10, 1, 2), (12, 1, 2), (15, 1, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lump = lk.approximate_lump(basis, system.observables, 0.0, record_trace=True)
+        assert lump.dim == 3
+        # distances in true units: row a's image along c is a^200 = 1e200
+        assert [row.distance for row in lump.provenance] == [None, 1.0, 1e200]
+        assert lump.valid_for == (0.0, 1.0)
+        assert [event.distance for event in lump.trace if event.appended] == [1.0, 1e200]
 
 
 def per_point_deviation(system, lump, x):

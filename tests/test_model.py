@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import warnings
 
@@ -463,6 +464,19 @@ class TestParsing:
         drift = (Mul(Constant(value), Variable(1)), system.drift[1])
         with pytest.raises(ModelValidationError, match="drift of a holds a constant that is not finite"):
             dataclasses.replace(system, drift=drift)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_initial_condition_rejected(self, rational3, value):
+        # to_text would write "init x1 = inf", and sampling would start from it
+        x0 = np.array([value, 0.5, 0.5])
+        with pytest.raises(ModelValidationError, match="initial condition holds a value that is not finite"):
+            dataclasses.replace(rational3, initial_conditions=(x0,))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_observable_rejected(self, rational3, value):
+        # caught before the rank test, which reads such a matrix as rank-deficient or fails
+        with pytest.raises(ModelValidationError, match="observable matrix holds an entry that is not finite"):
+            dataclasses.replace(rational3, observables=[[1.0, value, 0.0]])
 
     def test_missing_pieces_rejected(self):
         with pytest.raises(ModelSyntaxError, match="horizon"):
@@ -1008,17 +1022,62 @@ class TestCompiledDrift:
             assert type(exc_info.value.__cause__) is ZeroDivisionError
 
     def test_pickle_round_trip(self, rational3_perturbed):
+        # pickling, copying and replace all build the copy through the
+        # constructor, so it compiles its own drift
+        system = rational3_perturbed
         x = np.array([0.73, 1.21, 0.4])
-        f = lk.evaluate_drift(rational3_perturbed, x)  # compiles before pickling
-        copy = pickle.loads(pickle.dumps(rational3_perturbed))
-        assert copy.to_text() == rational3_perturbed.to_text()
-        assert copy.drift == rational3_perturbed.drift
-        np.testing.assert_array_equal(copy.observables, rational3_perturbed.observables)
-        assert lk.evaluate_drift(copy, x).tobytes() == f.tobytes()
-        f_dual, J = lk.evaluate_drift_dual(copy, x)
-        f_ref, J_ref = lk.evaluate_drift_dual(rational3_perturbed, x)
-        assert f_dual.tobytes() == f_ref.tobytes()
-        assert J.tobytes() == J_ref.tobytes()
+        f = lk.evaluate_drift(system, x)
+        f_ref, J_ref = lk.evaluate_drift_dual(system, x)
+        for again in (
+            pickle.loads(pickle.dumps(system)),
+            copy.deepcopy(system),
+            copy.copy(system),
+            dataclasses.replace(system),
+        ):
+            assert type(again) is lk.OdeSystem and again == system
+            assert again.to_text() == system.to_text()
+            assert again.drift == system.drift
+            # compiled as it was built, before any evaluation
+            assert vars(again)["_drift_function"] is not vars(system)["_drift_function"]
+            assert lk.evaluate_drift(again, x).tobytes() == f.tobytes()
+            f_dual, J = lk.evaluate_drift_dual(again, x)
+            assert f_dual.tobytes() == f_ref.tobytes()
+            assert J.tobytes() == J_ref.tobytes()
+
+    def test_compiled_once_when_built(self, monkeypatch):
+        compiled = []
+        compile_drift = lk.model._compile_drift
+
+        def counting(*args):
+            compiled.append(args[0])
+            return compile_drift(*args)
+
+        monkeypatch.setattr(lk.model, "_compile_drift", counting)
+        system = lk.parse_model(model_path("rational3.ode").read_text())
+        assert compiled == ["rational3"]
+        x = np.array([0.73, 1.21, 0.4])
+        lk.evaluate_drift(system, x)
+        lk.evaluate_drift(system, np.array([x, 2 * x]))
+        lk.evaluate_drift_dual(system, x)
+        lk.evaluate_drift_dual(system, np.array([x, 2 * x]))
+        assert compiled == ["rational3"]
+
+    def test_each_tree_is_walked_once(self, monkeypatch):
+        # rational3 folds no constant: its m = 3 drift trees and p = 1
+        # observable are walked once each by parsing and first evaluation
+        walked = []
+        postfix = lk.model._postfix
+
+        def counting(expr):
+            walked.append(expr)
+            return postfix(expr)
+
+        monkeypatch.setattr(lk.model, "_postfix", counting)
+        system = lk.parse_model(model_path("rational3.ode").read_text())
+        lk.evaluate_drift(system, np.array([0.73, 1.21, 0.4]))
+        lk.evaluate_drift_dual(system, np.array([0.73, 1.21, 0.4]))
+        assert len(walked) == system.dim + len(system.observables) == 4
+        assert all(map(operator.is_, walked[1:], system.drift))  # the obs line, then each drift
 
 
 class TestDeepNesting:

@@ -255,6 +255,24 @@ class TestIntegrate:
             lk.integrate(lambda y: y**2, np.array([1.0]), 1.2)
         assert 0.9 < exc_info.value.time_reached < 1.2
 
+    def test_final_sliver_is_no_underflow(self):
+        # steps of 0.025 leave a last step of about 3e-15 before t = 2, below
+        # the underflow threshold, but a step that lands on the horizon ends the run
+        system = lk.parse_model(
+            "model slow\nvar a, b\neq a = -0.001*a\neq b = a\n"
+            "init a = 1\ninit b = 0\nobs b\nhorizon 2\n"
+        )
+        config = lk.SolverConfig(max_step=0.025, initial_step=0.025)
+        drift = lambda x: lk.evaluate_drift(system, x)
+        traj = lk.integrate(drift, system.initial_conditions[0], 2.0, config)
+        assert traj.times[-1] == 2.0 and traj.steps[-1] < 1e-14
+
+    @pytest.mark.parametrize("horizon", [2e-16, 1e-15, 3.5e-15])
+    def test_horizon_below_underflow_threshold(self, rational3, horizon):
+        drift = lambda x: lk.evaluate_drift(rational3, x)
+        traj = lk.integrate(drift, rational3.initial_conditions[0], horizon)
+        assert traj.times.tolist() == [0.0, horizon]
+
     def test_step_budget(self):
         with pytest.raises(IntegrationError, match="budget") as exc_info:
             lk.integrate(
