@@ -263,16 +263,16 @@ def _cmd_simulate(args) -> int:
     seed, out, phases, system, _ = _start(args, sample=False)
     config = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     horizon = system.time_horizon if args.horizon is None else args.horizon
-    x0 = system.initial_conditions[0]
 
     if args.lumping is None:
+        x0 = system.initial_conditions[0]
         trajectory = integrate(lambda x: evaluate_drift(system, x), x0, horizon, config)
         ts = np.linspace(0.0, horizon, args.grid)
         X = trajectory.sample(ts)
     else:
         lump = _load_lumping(args.lumping, system.dim)
         report = reduction_report(
-            system, lump, x0=x0, horizon=horizon, config=config, grid_points=args.grid, seed=seed
+            system, lump, horizon=horizon, config=config, grid_points=args.grid, seed=seed
         )
         ts, X = report.times, report.original_states
     phases.mark("integrate")

@@ -4,7 +4,7 @@ For a polynomial or rational drift f, the Jacobians {J(x)} span a
 finite-dimensional matrix space. A basis for that span is what the lumping
 algorithm consumes. We build one by evaluating J at random points and keeping
 the matrices whose flattened form is numerically independent of what was
-kept so far (two classical Gram-Schmidt passes, see :func:`project_out`).
+kept so far (the rank test :func:`~lumpkit.model.scaled_residual`).
 Sampling stops once a run of consecutive draws adds nothing new.
 
 :func:`sample_jacobians` holds the sampling rules, for the basis and for the
@@ -23,14 +23,13 @@ seed reproduces the same basis on any platform.
 from __future__ import annotations
 
 import contextlib
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError, SamplingError
-from .model import OdeSystem, equal_values, evaluate_drift_dual, read_only
+from .model import RANK_RTOL, OdeSystem, equal_values, evaluate_drift_dual, read_only, scaled_residual
 
 __all__ = [
     "RANK_RTOL",
@@ -42,11 +41,6 @@ __all__ = [
     "basis_from_matrices",
     "membership_residual",
 ]
-
-# relative tolerance of the numerical rank test: a sample counts as new when
-# its residual exceeds RANK_RTOL * ||vec(J)||
-RANK_RTOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class SamplingDomain:
@@ -142,23 +136,6 @@ class JacobianBasis:
         }
 
 
-def project_out(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """One classical Gram-Schmidt pass: v minus its projection onto the rows
-    of Q, which must be orthonormal. Two passes are as accurate as modified
-    Gram-Schmidt with reorthogonalization ("twice is enough")."""
-    return v - (v @ Q.T) @ Q
-
-
-def _scaled_flat(J: np.ndarray) -> tuple[np.ndarray, int]:
-    """vec(J) times 2**-e, where max|J| = f * 2**e with 0.5 <= f < 1, and e.
-    A power-of-two scale is exact, so norms and rank decisions keep their
-    bits, but squared norms of entries near the float limit no longer
-    overflow."""
-    vec = J.ravel()
-    e = int(np.frexp(np.max(np.abs(vec), initial=0.0))[1])
-    return np.ldexp(vec, -e), e
-
-
 def _build_basis(system_dim: int, candidates, confirmations: int | None = None) -> JacobianBasis:
     """Filter (J, point) candidates through the incremental rank test.
 
@@ -173,12 +150,8 @@ def _build_basis(system_dim: int, candidates, confirmations: int | None = None) 
     for J, point in candidates:
         if J.shape != (system_dim, system_dim):
             raise DimensionMismatchError("Jacobian sample has wrong shape")
-        vec, _ = _scaled_flat(J)
-        scale = math.sqrt(vec.dot(vec))
-        Q = stack[: len(pts)]
-        r = project_out(project_out(vec, Q), Q)
-        rnorm = math.sqrt(r.dot(r))
-        if scale > 0.0 and rnorm > RANK_RTOL * scale:
+        r, rnorm, _, independent = scaled_residual(J.ravel(), stack[: len(pts)])
+        if independent:
             if len(pts) == len(stack):  # full: double both, up to the m^2 cap
                 stack = np.vstack((stack, np.empty_like(stack[: cap - len(stack)])))
                 mats = np.vstack((mats, np.empty_like(mats[: cap - len(mats)])))
@@ -299,6 +272,5 @@ def membership_residual(basis: JacobianBasis, J) -> float:
     J = np.asarray(J, dtype=float)
     if J.shape != (basis.state_dim, basis.state_dim):
         raise DimensionMismatchError("matrix shape does not match the basis")
-    Q = basis.ortho_flat
-    vec, e = _scaled_flat(J)
-    return float(np.ldexp(np.linalg.norm(project_out(project_out(vec, Q), Q)), e))
+    _, rnorm, e, _ = scaled_residual(J.ravel(), basis.ortho_flat)
+    return float(np.ldexp(rnorm, e))

@@ -34,8 +34,8 @@ from .errors import (
     MonotonicityError,
     RankDeficiencyError,
 )
-from .jacobian import RANK_RTOL, JacobianBasis, project_out
-from .model import OdeSystem, equal_values, evaluate_drift, read_only
+from .jacobian import JacobianBasis
+from .model import OdeSystem, equal_values, evaluate_drift, orthonormalize_rows, project_out, read_only
 
 __all__ = [
     "ZERO_EPSILON_RTOL",
@@ -58,22 +58,6 @@ __all__ = [
 ZERO_EPSILON_RTOL = 1e-12
 
 _ORTHONORMALITY_ATOL = 1e-10
-
-
-def orthonormalize_rows(matrix) -> np.ndarray:
-    """Orthonormalize rows in order (two classical Gram-Schmidt passes per
-    row). Raises :class:`~lumpkit.errors.RankDeficiencyError` when a row is
-    numerically dependent on the rows before it, at relative tolerance
-    :data:`~lumpkit.jacobian.RANK_RTOL`."""
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    Q = np.empty_like(M)
-    for i, row in enumerate(M):
-        r = project_out(project_out(row, Q[:i]), Q[:i])
-        norm = float(np.linalg.norm(r))
-        if norm <= RANK_RTOL * max(float(np.linalg.norm(row)), 1e-300):
-            raise RankDeficiencyError(f"row {i} is linearly dependent on earlier rows")
-        Q[i] = r / norm
-    return Q
 
 
 @dataclass(frozen=True)
@@ -190,7 +174,7 @@ def _scale_exponents(V) -> np.ndarray | None:
     """None, or when the squared norm of a row of V could overflow, each
     row's e with max|row| = f * 2**e (0.5 <= f < 1): scaled by ``2**-e`` no
     row overflows, and a power-of-two scale is exact, as in
-    :func:`~lumpkit.jacobian._scaled_flat`."""
+    :func:`~lumpkit.model.scaled_residual`."""
     top = float(np.abs(V).max(initial=0.0))
     return np.frexp(np.abs(V).max(axis=1))[1] if math.isinf(top * top * V.shape[1]) else None
 

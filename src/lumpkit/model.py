@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ModelSyntaxError, ModelValidationError
+from .errors import EvaluationError, ModelSyntaxError, ModelValidationError, RankDeficiencyError
 
 __all__ = [
     "Expression",
@@ -433,14 +433,52 @@ def _equal(x, y) -> bool:
     return x == y
 
 
+# relative tolerance of the numerical rank test (see scaled_residual)
+RANK_RTOL = 1e-9
+
+
+def project_out(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass: v minus its projection onto the
+    orthonormal rows of Q. Two passes are enough for full accuracy."""
+    return v - (v @ Q.T) @ Q
+
+
+def scaled_residual(v: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+    """The rank test: ``(r, ||r||, e, independent)``, r the residual of
+    w = v * 2**-e (max|v| = f * 2**e, 0.5 <= f < 1) after two
+    :func:`project_out` passes against the orthonormal rows of Q, and v
+    independent of them iff ||r|| > RANK_RTOL * ||w||. A power-of-two scale is
+    exact, and it keeps the squares of huge or tiny entries finite and nonzero."""
+    e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    v = np.ldexp(v, -e)
+    r = project_out(project_out(v, Q), Q)
+    rnorm = math.sqrt(r.dot(r))
+    return r, rnorm, e, rnorm > RANK_RTOL * math.sqrt(v.dot(v))
+
+
+def orthonormalize_rows(matrix) -> np.ndarray:
+    """Orthonormalize rows in order; a row that fails :func:`scaled_residual`
+    against those before it raises :class:`~lumpkit.errors.RankDeficiencyError`."""
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    Q = np.empty_like(M)
+    for i, row in enumerate(M):
+        r, rnorm, _, independent = scaled_residual(row, Q[:i])
+        if not independent:
+            raise RankDeficiencyError(f"row {i} is linearly dependent on earlier rows")
+        Q[i] = r / rnorm
+    return Q
+
+
 @dataclass(frozen=True, eq=False)
 class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
 
     Invariants checked at construction: one drift expression and one initial
     value per variable, finite drift constants and initial values, a positive
-    finite horizon, and a finite observable matrix with 1 <= p < m whose
-    numerical rank equals its row count.
+    finite horizon, and a finite observable matrix with 1 <= p < m whose rows
+    pass :func:`orthonormalize_rows`, the rank test of every lumping. So rows
+    the sweep would reject, such as a and a + 1e-10 b, fail here, while tiny
+    independent rows, such as 1e-17 b beside a, are kept.
 
     The drift is compiled to one function when the system is built; it is
     not a field, so not part of equality or repr. Pickling and copying go
@@ -483,8 +521,10 @@ class OdeSystem:
             )
         if not np.isfinite(M).all():
             raise ModelValidationError("observable matrix holds an entry that is not finite")
-        if np.linalg.matrix_rank(M) != p:
-            raise ModelValidationError("observable matrix is rank-deficient")
+        try:
+            orthonormalize_rows(M)
+        except RankDeficiencyError:
+            raise ModelValidationError("observable matrix is rank-deficient") from None
         object.__setattr__(self, "observables", M)
 
     @property
@@ -595,13 +635,14 @@ def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
     x = _points(system, x)
     f = np.empty(x.shape)
     jac = np.zeros(x.shape + (m,))
-    for i, result in enumerate(_evaluate_components(system, x, _duals)):
-        if isinstance(result, DualVector):
-            f[..., i] = result.value
-            jac[..., i, :] = result.partials.T
-        else:
-            # constant drift component: zero partials
-            f[..., i] = result
+    with np.errstate(all="ignore"):  # inf and nan arise silently, as for floats
+        for i, result in enumerate(_evaluate_components(system, x, _duals)):
+            if isinstance(result, DualVector):
+                f[..., i] = result.value
+                jac[..., i, :] = result.partials.T
+            else:
+                # constant drift component: zero partials
+                f[..., i] = result
     return f, jac
 
 

@@ -401,14 +401,14 @@ class ReductionReport:
 def reduction_report(
     system: OdeSystem,
     lump: LumpingMatrix,
-    x0=None,
     horizon: float | None = None,
     config: SolverConfig | None = None,
     grid_points: int = 200,
     seed: int = 0,
 ) -> ReductionReport:
     """Integrate the original and the reduced system and report the error
-    e(t) = ||y(t) - L x(t)|| on a shared grid of at least 200 points.
+    e(t) = ||y(t) - L x(t)|| on a shared grid of at least 200 points, from
+    the first initial condition x0.
 
     The Lipschitz constant is estimated over the bounding box of the original
     trajectory and its projection onto rsp(L). e(0) is zero by construction
@@ -418,7 +418,7 @@ def reduction_report(
         raise DimensionMismatchError("lumping matrix does not match the system")
     if grid_points < 200:
         raise ValueError("grid_points must be at least 200")
-    x0 = system.initial_conditions[0] if x0 is None else np.asarray(x0, dtype=float)
+    x0 = system.initial_conditions[0]
     T = system.time_horizon if horizon is None else float(horizon)
     L = lump.matrix
 

@@ -189,6 +189,17 @@ class TestLump:
         observable = "x1 + (x2 - x2 + 1e200)*(x2 - x2 + 1e200)*x1"
         self.assert_observable_overflow_exits_1(tmp_path, capsys, observable)
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+    def test_observable_scale_changes_no_lumping(self, tmp_path, scale):
+        # the squares of the row's entry overflow or vanish, but the rank
+        # test measures the row at a power-of-two scale
+        model = tmp_path / "scaled.ode"
+        model.write_text(Path(RATIONAL3).read_text().replace("obs x1", f"obs {scale}*x1"))
+        for name, path in (("plain", RATIONAL3), ("scaled", str(model))):
+            assert run(["lump", "--model", path, "--out", str(tmp_path / name),
+                        "--seed", "0", "--epsilon", "0.1"]) == 0
+        assert (tmp_path / "scaled" / "L.json").read_bytes() == (tmp_path / "plain" / "L.json").read_bytes()
+
 
 class TestFindEpsilon:
     def test_bisection_artifacts(self, tmp_path, capsys):
@@ -420,6 +431,18 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra", [["lump", "--epsilon", "0.1"], ["find-epsilon", "--ratio", "0.67"], ["sweep"], ["simulate"]],
+        ids=["lump", "find-epsilon", "sweep", "simulate"],
+    )
+    def test_observables_failing_the_rank_test_exit_1(self, tmp_path, capsys, extra):
+        # the sweep's rank test rejects the second row, so parsing does too
+        model = tmp_path / "near.ode"
+        model.write_text(Path(RATIONAL3).read_text().replace("obs x1", "obs x1\nobs x1 + 1e-10*x2"))
+        code = run([extra[0], "--model", str(model), "--out", str(tmp_path / "o"), *extra[1:]])
+        assert code == 1
+        assert capsys.readouterr().err == "error: observable matrix is rank-deficient\n"
 
     def test_missing_model_exits_3(self, tmp_path):
         assert run(["simulate", "--model", str(tmp_path / "nope.ode"),

@@ -135,3 +135,12 @@ def test_array_records_compare_by_equal_values():
     modules = [importlib.import_module(f"lumpkit.{name}") for name in names]
     found = {module.__name__: array_records_without_equal_values(module) for module in modules}
     assert {name: records for name, records in found.items() if records} == {}
+
+
+def test_rank_test_names_are_the_model_module_objects():
+    # one rank test, re-exported under the names it had before
+    from lumpkit import jacobian, lumping, model
+
+    assert lumpkit.RANK_RTOL is jacobian.RANK_RTOL is model.RANK_RTOL
+    assert "RANK_RTOL" in jacobian.__all__
+    assert lumpkit.orthonormalize_rows is lumping.orthonormalize_rows is model.orthonormalize_rows

@@ -47,6 +47,12 @@ class TestOrthonormalize:
         Q = lk.orthonormalize_rows(M)
         assert np.max(np.abs(Q @ Q.T - np.eye(20))) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["huge", "tiny"])
+    def test_power_of_two_scale_keeps_bits(self, scale):
+        # squares of these entries overflow or underflow unless measured at scale
+        M = np.random.Generator(np.random.PCG64(5)).normal(size=(4, 6))
+        assert lk.orthonormalize_rows(scale * M).tobytes() == lk.orthonormalize_rows(M).tobytes()
+
     def test_dependent_rows_rejected(self):
         with pytest.raises(RankDeficiencyError, match="row 1"):
             lk.orthonormalize_rows([[1.0, 0.0], [2.0, 0.0]])

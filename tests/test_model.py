@@ -428,6 +428,25 @@ class TestParsing:
         with pytest.raises(ModelValidationError, match="rank"):
             lk.parse_model(text)
 
+    def test_observables_failing_the_rank_test_rejected(self):
+        # numpy's SVD rank is 2, but the sweep cannot orthonormalize these rows
+        text = (
+            "model m\nvar a, b, c\neq a = b\neq b = c\neq c = a\n"
+            "init a = 1\ninit b = 1\ninit c = 1\n"
+            "obs a\nobs a + 1e-10*b\nhorizon 1\n"
+        )
+        with pytest.raises(ModelValidationError, match="rank-deficient"):
+            lk.parse_model(text)
+
+    def test_tiny_independent_observable_kept(self):
+        # numpy's SVD tolerance reads this as rank 1
+        text = (
+            "model m\nvar a, b, c\neq a = b\neq b = c\neq c = a\n"
+            "init a = 1\ninit b = 1\ninit c = 1\n"
+            "obs a\nobs 1e-17*b\nhorizon 1\n"
+        )
+        np.testing.assert_array_equal(lk.parse_model(text).observables, [[1, 0, 0], [0, 1e-17, 0]])
+
     @pytest.mark.parametrize("horizon_line", ["horizon 0", "horizon -2"])
     def test_bad_horizon_rejected(self, horizon_line):
         text = (
@@ -749,6 +768,19 @@ class TestBatchedDuals:
             assert block_error.value.component == point_error.value.component
             np.testing.assert_array_equal(block_error.value.point, first)
             assert type(block_error.value.__cause__) is ZeroDivisionError
+
+    @pytest.mark.parametrize(
+        "drift, x",
+        [("eq a = a*a\neq b = a", [1e200, 1.0]), ("eq a = 1e300*a*a - 1e300*b*b\neq b = a", [1e10, 1e10])],
+        ids=["overflow", "inf_minus_inf"],
+    )
+    def test_overflow_is_as_silent_as_a_point(self, drift, x):
+        # a float product overflows to inf without a warning; so must a block's
+        system = lk.parse_model(two_var(drift))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_block_matches_points(system, np.array([x]))
+            self.assert_block_matches_points(system, np.array([x, x]))
 
     def test_shape_validation(self, rational3):
         for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3)), np.float64(1.0)):
