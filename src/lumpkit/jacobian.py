@@ -10,11 +10,11 @@ Sampling stops once a run of consecutive draws adds nothing new.
 :func:`sample_jacobians` holds the sampling rules, for the basis and for the
 Lipschitz estimate of :mod:`lumpkit.simulate` alike: the seeded stream of
 points, one :func:`~lumpkit.model.evaluate_drift_dual` call per block of
-them, and the skipping of singular points. The basis takes blocks of up to m
-and sends their Jacobians through the rank test one by one. A block draws the
-same numbers as the same count of single draws, and the dual evaluation of a
-block gives each point's bits, so the basis is the one point-by-point
-sampling builds.
+them, and the skipping of singular points. The basis takes doubling blocks,
+each as large as all the candidates before it (at least m), and sends their
+Jacobians through the rank test one by one. A block draws the same numbers as
+the same count of single draws, and the dual evaluation of a block gives each
+point's bits, so the basis is the one point-by-point sampling builds.
 
 Randomness comes from numpy's PCG64 generator seeded explicitly, so a given
 seed reproduces the same basis on any platform.
@@ -250,16 +250,16 @@ def sample_jacobian_basis(
 
     ``initial_points`` are consumed before any random draw and go through the
     same independence test. Singular points are skipped as
-    :func:`sample_jacobians` skips them. Points are evaluated in blocks of up
-    to m, fewer near the m^2 cap: the span fills no sooner than m^2 - yielded
-    more candidates, so the cap never leaves a point of a block evaluated in
-    vain.
+    :func:`sample_jacobians` skips them. Points are evaluated in blocks of
+    max(m, yielded), the candidates so far, so at most ``yielded`` are evaluated
+    past the stop; near the m^2 cap, fewer: the span fills no sooner than
+    m^2 - yielded more candidates, so no point of a block is evaluated in vain.
     """
     m = system.dim
     candidates = sample_jacobians(
         system,
         domain,
-        lambda yielded: max(1, min(m, m * m - yielded)),
+        lambda yielded: max(1, min(max(m, yielded), m * m - yielded)),
         evaluate_drift_dual,
         initial_points,
     )
@@ -273,4 +273,5 @@ def membership_residual(basis: JacobianBasis, J) -> float:
     if J.shape != (basis.state_dim, basis.state_dim):
         raise DimensionMismatchError("matrix shape does not match the basis")
     _, rnorm, e, _ = scaled_residual(J.ravel(), basis.ortho_flat)
-    return float(np.ldexp(rnorm, e))
+    with np.errstate(over="ignore"):  # a residual past the float range is inf
+        return float(np.ldexp(rnorm, e))

@@ -62,15 +62,16 @@ __all__ = [
 
 
 def _has_zero(value) -> bool:
-    return bool((value == 0.0).any()) if isinstance(value, np.ndarray) else value == 0.0
+    return not value.all() if isinstance(value, np.ndarray) else value == 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class DualVector:
     """A value together with its partial derivatives w.r.t. the m state
     variables. Arithmetic implements the chain rule, so running an
     expression tree on DualVector inputs yields one Jacobian row per drift
-    component in a single pass.
+    component in a single pass. It is a mutable slotted operand, not a
+    record: arithmetic builds new ones and never changes one in place.
 
     ``value`` is a float with ``(m,)`` partials, or, for a block of N points,
     an ``(N,)`` array with ``(m, N)`` partials. numpy applies the same IEEE
@@ -761,8 +762,10 @@ class _Line:
         operands are constants, else ``node`` itself. A zero divisor or a
         result out of the float range (``10^400``, ``1e200*1e200``) is a
         :class:`ModelSyntaxError` at the operator's ``column``."""
-        operands = [getattr(node, name) for name in node.__slots__]
-        if not all(isinstance(v, Constant) for v in operands if isinstance(v, Expression)):
+        # slot 0 is an expression operand; binary operators have a second
+        if type(getattr(node, node.__slots__[0])) is not Constant or (
+            type(node) in _APPLY and type(node.right) is not Constant
+        ):
             return node
         message = "overflow in constant expression"
         try:

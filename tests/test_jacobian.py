@@ -8,7 +8,7 @@ import pytest
 
 import lumpkit as lk
 from lumpkit.errors import DimensionMismatchError, EvaluationError, SamplingError
-from lumpkit.jacobian import _build_basis
+from lumpkit.jacobian import _build_basis, sample_jacobians
 from lumpkit.model import project_out
 
 from conftest import BIG_POWER, CANONICAL_POINTS, GOLDEN_J_PLAIN, NON_FINITE, benchmark_workloads
@@ -307,6 +307,40 @@ class TestBlockSampling:
             domain = lk.default_domain(system, seed=seed)
             assert lk.sample_jacobian_basis(system, domain) == per_point_basis(system, domain)
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("key", range(2))
+    def test_search_models(self, key, seed):
+        # K ~ 4m: the one place where the doubling blocks outgrow m
+        system = lk.parse_model(benchmark_workloads().rational_model_text(key))
+        domain = lk.default_domain(system, seed=seed)
+        assert lk.sample_jacobian_basis(system, domain) == per_point_basis(system, domain)
+
+    @pytest.mark.parametrize("key, blocks", [(0, [20, 20, 40, 80]), (1, [20, 20, 40])])
+    def test_blocks_double(self, monkeypatch, key, blocks):
+        # each block is as large as all the candidates before it, so the
+        # points evaluated past the stop are at most the candidates consumed
+        system = lk.parse_model(benchmark_workloads().rational_model_text(key))
+        sizes = []
+        consumed = 0
+
+        def counting(system, x):
+            sizes.append(len(x))
+            return lk.evaluate_drift_dual(system, x)
+
+        def counted(candidates):
+            nonlocal consumed
+            for candidate in candidates:
+                consumed += 1
+                yield candidate
+
+        monkeypatch.setattr("lumpkit.jacobian.evaluate_drift_dual", counting)
+        monkeypatch.setattr(
+            "lumpkit.jacobian.sample_jacobians", lambda *args: counted(sample_jacobians(*args))
+        )
+        lk.sample_jacobian_basis(system, lk.default_domain(system, seed=key))
+        assert sizes == blocks
+        assert sum(sizes) <= max(system.dim, 2 * consumed)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_singular_point_inside_a_block(self, rational3, seed):
         # (1, -3, 1) zeroes a denominator, so the first block of initial
@@ -464,3 +498,8 @@ class TestMembershipResidual:
     def test_shape_mismatch_rejected(self, worked_basis):
         with pytest.raises(DimensionMismatchError):
             lk.membership_residual(worked_basis, np.eye(4))
+
+    def test_residual_past_the_float_range_is_a_silent_inf(self):
+        # the residual's norm is about 2.4e308; warnings are errors in tier-1
+        basis = lk.basis_from_matrices([np.diag([1.0, 0.0])])
+        assert lk.membership_residual(basis, [[0.0, 1.7e308], [1.7e308, 0.0]]) == np.inf

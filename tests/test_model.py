@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import lumpkit as lk
 from lumpkit.errors import EvaluationError, ModelSyntaxError, ModelValidationError
-from lumpkit.model import Add, Constant, Div, IntPow, Mul, Neg, Sub, Variable
+from lumpkit.model import Add, Constant, Div, Expression, IntPow, Mul, Neg, Sub, Variable, _Line
 
 from conftest import (
     BIG_POWER,
@@ -352,6 +352,29 @@ class TestParsing:
     def test_constant_subtrees_fold_to_one_constant(self):
         system = lk.parse_model(two_var("eq a = 2^3 * -(4/8) - 1 + a/(2-2+1)\neq b = a"))
         assert system.drift[0] == Add(Constant(-5.0), Div(Variable(0), Constant(1.0)))
+
+    def test_fold_gives_the_trees_of_the_every_operand_rule(self, monkeypatch):
+        # the oracle looks at every slot of a node that holds an expression
+        def every_operand_fold(self, node, column):
+            operands = [getattr(node, name) for name in node.__slots__]
+            if all(isinstance(v, Constant) for v in operands if isinstance(v, Expression)):
+                return Constant(node.evaluate(()))
+            return node
+
+        workloads = benchmark_workloads()
+        bundled = ("rational3.ode", "rational3_perturbed.ode", "poly4.ode")
+        texts = [model_path(name).read_text() for name in bundled]
+        texts += [workloads.rational_model_text(key) for key in range(workloads.SEARCH_MODELS)]
+        texts += [
+            workloads.oscillator_model_text(key) for key in range(workloads.OSCILLATOR_MODELS)
+        ]
+        texts.append(two_var("eq a = 2^3 * -(4/8) - 1 + a/(2-2+1) - -b^2\neq b = a"))
+        parsed = [lk.parse_model(text) for text in texts]
+        monkeypatch.setattr(_Line, "fold", every_operand_fold)
+        for system, text in zip(parsed, texts):
+            expected = lk.parse_model(text)
+            assert system == expected
+            assert repr(system.drift) == repr(expected.drift)
 
     @pytest.mark.parametrize(
         "body, column", [("eq a = 1/0", 9), ("eq a = 10^400", 10), ("eq a = -(2/(1-1))", 11)]
