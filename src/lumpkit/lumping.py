@@ -240,10 +240,12 @@ def _sweep(basis, observables, epsilon, record_trace, cap) -> LumpingMatrix | No
     trace: list[TraceEvent] = []
     lo, hi = 0.0, math.inf
 
+    bound = 2 * m * basis._max_abs  # |r @ J| <= sqrt(m) max|J| for a unit row r, so
+    may_overflow = not math.isfinite(bound * bound)  # squared image norms stay below bound**2
     row = 0
     while row < count:
         V = L[row] @ basis.matrices
-        e = _scale_exponents(V)
+        e = _scale_exponents(V) if may_overflow else None
         if e is not None:  # images measured at 2**-e; slack and distances in true units
             V = np.ldexp(V, -e[:, None])
         norms = np.sqrt(np.add.reduce(V * V, axis=1))

@@ -4,16 +4,16 @@ A model is a system x' = f(x) together with one or more initial conditions,
 a linear observable matrix M, and a time horizon. Drift components are stored
 as expression trees, and every reader of a tree loops over its postfix list
 (:func:`_postfix`), so a tree of any depth is read without recursion. Each
-system compiles its drift as it is built, to one Python function that returns
-all m components as nested expressions (with a temporary every 50 levels of
-parentheses) and applies the same operators in the same order as
-:meth:`Expression.evaluate`; the same code evaluates plain floats and dual
-numbers, bit for bit as the tree walk does, so Jacobians come out of
+system keeps the postfix program of each drift component, and :func:`_run`
+evaluates it on plain floats or on dual numbers, so Jacobians come out of
 forward-mode differentiation exactly (up to float roundoff) instead of finite
-differencing. Both evaluations also take an ``(N, m)`` block of points and
-run the compiled code once, on value columns or on duals whose values are
-``(N,)`` arrays; every f and J they return has the bits of a one-point
-evaluation.
+differencing. An ``(N, m)`` block of points runs each program once, on value
+columns or on duals whose values are ``(N,)`` arrays, with the bits of a
+one-point evaluation. Only f at one float point, the integrator's step loop,
+runs compiled code: the first such call compiles the programs to one function
+returning all m components as nested expressions (a temporary every 50
+levels of parentheses) that apply the operators in the order of :func:`_run`,
+so with its bits.
 
 Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`. ``init`` and ``horizon`` take constant
@@ -28,6 +28,7 @@ recursion limit are a syntax error.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -189,16 +190,7 @@ class Expression:
         """Evaluate with ``values[i]`` bound to variable i. Works on floats
         and on :class:`DualVector` alike. This tree walk is the reference
         that the compiled drift of :func:`evaluate_drift` reproduces."""
-        done: list = []  # the value of each finished operand
-        for kind, arg in _postfix(self):
-            if kind is Constant or kind is Variable:
-                done.append(arg if kind is Constant else values[arg])
-            elif kind is Neg or kind is IntPow:
-                done.append(-done.pop() if kind is Neg else done.pop() ** arg)
-            else:
-                right = done.pop()
-                done.append(_APPLY[kind](done.pop(), right))
-        return done.pop()
+        return _run(_postfix(self), values)
 
     def __eq__(self, other):
         return _postfix(self) == _postfix(other) if isinstance(other, Expression) else NotImplemented
@@ -296,6 +288,20 @@ def _postfix(expr: Expression) -> list[tuple[type, object]]:
     return nodes
 
 
+def _run(program, values):
+    """Run a :func:`_postfix` program with ``values[i]`` bound to variable i."""
+    done: list = []  # the value of each finished operand
+    for kind, arg in program:
+        if kind is Constant or kind is Variable:
+            done.append(arg if kind is Constant else values[arg])
+        elif kind is Neg or kind is IntPow:
+            done.append(-done.pop() if kind is Neg else done.pop() ** arg)
+        else:
+            right = done.pop()
+            done.append(_APPLY[kind](done.pop(), right))
+    return done.pop()
+
+
 def _from_postfix(nodes) -> Expression:
     """The tree whose :func:`_postfix` is ``nodes``; how a tree unpickles."""
     done: list[Expression] = []
@@ -343,13 +349,13 @@ def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
 _SPILL_HEIGHT = 50  # nested parentheses per temporary; CPython's parser allows 200
 
 
-def _nested_code(expr: Expression, body: list[str], constants: list) -> str:
-    """``expr`` as one parenthesized expression, variables read as ``v[i]``
-    and constants by value as ``c[k]`` (``constants[k]``). A subtree nesting
-    ``_SPILL_HEIGHT`` parentheses becomes a statement ``tK = ...`` of
-    ``body``, after the pending operands that ran before it."""
+def _nested_code(program, body: list[str], constants: list) -> str:
+    """The postfix ``program`` as one parenthesized expression, variables
+    read as ``v[i]`` and constants by value as ``c[k]`` (``constants[k]``). A
+    subtree nesting ``_SPILL_HEIGHT`` parentheses becomes a statement
+    ``tK = ...`` of ``body``, after the pending operands that ran before it."""
     done: list[tuple[str, int]] = []  # code and nesting height of each finished operand
-    for kind, arg in _postfix(expr):
+    for kind, arg in program:
         if kind is Variable:
             done.append((f"v[{arg}]", 0))
             continue
@@ -372,33 +378,24 @@ def _nested_code(expr: Expression, body: list[str], constants: list) -> str:
     return done[0][0]
 
 
-def _compile_drift(name: str, var_names: Sequence[str], drift: Sequence[Expression]) -> Callable:
+def _compile_drift(name: str, programs) -> Callable:
     """One function ``f(v)``, defined by a single ``exec``, that returns the
     list of all drift components, each the nested code of :func:`_nested_code`
-    with a temporary every ``_SPILL_HEIGHT`` levels, built without recursion,
-    so any drift compiles. Operators run in the order of
-    ``drift[i].evaluate(v)``, so the results agree bit for bit, on floats and
-    on :class:`DualVector` alike, and so do the errors raised; a
-    ``ZeroDivisionError`` or ``OverflowError`` gets the failing i as its
-    ``component`` attribute. A constant that is not finite raises
-    :class:`~lumpkit.errors.ModelValidationError` naming its variable."""
+    of its postfix program, with a temporary every ``_SPILL_HEIGHT`` levels,
+    built without recursion, so any drift compiles. Operators run in the
+    order of :func:`_run` over the programs, component by component, so the
+    results and the errors raised agree bit for bit; the caller names the
+    failing component by running the programs again."""
     constants: list = []
-    lines = ["def f(v):", "    try:"]
-    for i, expr in enumerate(drift):
+    lines = ["def f(v):"]
+    for i, program in enumerate(programs):
         # each component numbers its temporaries from t0 again, so the next
         # one rebinds and frees them, as returning from a function would
         body: list[str] = []
-        first = len(constants)
-        result = _nested_code(expr, body, constants)
-        if not all(map(math.isfinite, constants[first:])):
-            raise ModelValidationError(f"drift of {var_names[i]} holds a constant that is not finite")
-        lines.append(f"        i = {i}")
-        lines.extend(f"        {statement}" for statement in body)
-        lines.append(f"        r{i} = {result}")
-    lines.append(f"        return [{', '.join(f'r{i}' for i in range(len(drift)))}]")
-    lines.append("    except (ZeroDivisionError, OverflowError) as exc:")
-    lines.append("        exc.component = i")
-    lines.append("        raise")
+        result = _nested_code(program, body, constants)
+        lines.extend(f"    {statement}" for statement in body)
+        lines.append(f"    r{i} = {result}")
+    lines.append(f"    return [{', '.join(f'r{i}' for i in range(len(programs)))}]")
     namespace = {"c": tuple(constants)}
     exec(compile("\n".join(lines), f"<drift of {name}>", "exec"), namespace)
     # popped, so that the function and its globals form no reference cycle
@@ -481,9 +478,9 @@ class OdeSystem:
     the sweep would reject, such as a and a + 1e-10 b, fail here, while tiny
     independent rows, such as 1e-17 b beside a, are kept.
 
-    The drift is compiled to one function when the system is built; it is
-    not a field, so not part of equality or repr. Pickling and copying go
-    through the constructor, and each copy compiles its own.
+    Construction keeps each drift tree's postfix program, and the first
+    one-point :func:`evaluate_drift` compiles them; neither is a field. Pickling
+    and copying go through the constructor, and each copy compiles its own.
     """
 
     name: str
@@ -501,7 +498,10 @@ class OdeSystem:
         m = len(self.var_names)
         if len(self.drift) != m:
             raise ModelValidationError("one drift expression per variable required")
-        object.__setattr__(self, "_drift_function", _compile_drift(self.name, self.var_names, self.drift))
+        object.__setattr__(self, "_programs", tuple(map(_postfix, self.drift)))
+        for var, program in zip(self.var_names, self._programs):
+            if not all(math.isfinite(arg) for kind, arg in program if kind is Constant):
+                raise ModelValidationError(f"drift of {var} holds a constant that is not finite")
         inits = tuple(map(read_only, self.initial_conditions))
         if any(x0.shape != (m,) for x0 in inits):
             raise ModelValidationError("initial condition has wrong dimension")
@@ -532,6 +532,10 @@ class OdeSystem:
     def dim(self) -> int:
         return len(self.var_names)
 
+    @functools.cached_property
+    def _drift_function(self) -> Callable:
+        return _compile_drift(self.name, self._programs)
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
@@ -555,24 +559,27 @@ class OdeSystem:
 
 
 def _evaluate_components(system: OdeSystem, x: np.ndarray, lift) -> list:
-    """Evaluate all drift components on ``lift(x)`` with one call of the
-    compiled drift. A zero denominator or an overflowing power raises
-    :class:`~lumpkit.errors.EvaluationError` naming the component and x; for
-    an ``(N, m)`` block x, the points are then evaluated one at a time, so the
-    error names the first singular point as a one-point call would."""
+    """Run each drift component's program on ``lift(x)``. A zero denominator
+    or an overflowing power raises :class:`~lumpkit.errors.EvaluationError`
+    naming the component and x; for an ``(N, m)`` block x, the points are
+    then evaluated one at a time, so the error names the first singular
+    point as a one-point call would."""
     values = lift(x)
-    try:
-        return system._drift_function(values)
-    except (ZeroDivisionError, OverflowError) as exc:
-        if x.ndim == 2:
-            for point in x:
-                _evaluate_components(system, point, lift)
-        cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
-        raise EvaluationError(
-            f"{cause} evaluating d{system.var_names[exc.component]}/dt at x={x.tolist()}",
-            component=exc.component,
-            point=x.copy(),
-        ) from exc
+    results = []
+    for i, program in enumerate(system._programs):
+        try:
+            results.append(_run(program, values))
+        except (ZeroDivisionError, OverflowError) as exc:
+            if x.ndim == 2:
+                for point in x:
+                    _evaluate_components(system, point, lift)
+            cause = "zero denominator" if isinstance(exc, ZeroDivisionError) else "overflow"
+            raise EvaluationError(
+                f"{cause} evaluating d{system.var_names[i]}/dt at x={x.tolist()}",
+                component=i,
+                point=x.copy(),
+            ) from exc
+    return results
 
 
 def _columns(x: np.ndarray) -> list:
@@ -601,15 +608,15 @@ def _points(system: OdeSystem, x) -> np.ndarray:
 
 
 def evaluate_drift(system: OdeSystem, x) -> np.ndarray:
-    """Evaluate f(x) with the system's compiled drift, which gives the same
-    bits as ``[e.evaluate(x.tolist()) for e in system.drift]``. Pure and
-    deterministic: identical inputs give bit-identical outputs. A zero
-    denominator or an overflowing power raises
+    """Evaluate f(x) with the bits of ``[e.evaluate(x.tolist()) for e in
+    system.drift]``. Pure and deterministic: identical inputs give
+    bit-identical outputs. A zero denominator or an overflowing power raises
     :class:`~lumpkit.errors.EvaluationError` naming the component.
 
-    ``x`` may also be an ``(N, m)`` block, one point per row, for an
-    ``(N, m)`` f; the compiled drift runs once, on the block's columns, with
-    the bits and the errors of one call per point."""
+    One point runs the system's compiled drift, compiled on the first such
+    call. ``x`` may also be an ``(N, m)`` block, one point per row, for an
+    ``(N, m)`` f; each program runs once, on the block's columns, with the
+    bits and the errors of one call per point."""
     x = np.asarray(x, dtype=float)
     if x.shape == (system.dim,):  # one point, as the step loop of integrate calls it
         try:
@@ -627,9 +634,10 @@ def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate f(x) and the exact Jacobian J(x) by forward-mode dual
     numbers. Returns ``(f, J)`` with ``J[i, j] = df_i/dx_j``.
 
-    ``x`` may also be an ``(N, m)`` block of points, one per row; then f is
-    ``(N, m)`` and J is ``(N, m, m)``, and the compiled drift runs once for
-    the whole block. Each row of the result has the bits of a one-point call.
+    Each program runs once on dual inputs; nothing is compiled. ``x`` may
+    also be an ``(N, m)`` block of points, one per row; then f is
+    ``(N, m)`` and J is ``(N, m, m)``, and each program runs once for the
+    whole block. Each row of the result has the bits of a one-point call.
     A singular point anywhere in the block raises the
     :class:`~lumpkit.errors.EvaluationError` of the first such point."""
     m = system.dim

@@ -916,8 +916,9 @@ class TestBatchedDrift:
 
 
 class TestCompiledDrift:
-    """evaluate_drift and evaluate_drift_dual run each system's compiled
-    drift; Expression.evaluate is the reference."""
+    """evaluate_drift at one point runs each system's compiled drift, built on
+    its first such call; blocks and dual evaluations run the postfix programs
+    kept at construction. Expression.evaluate is the reference."""
 
     def test_bit_parity_with_the_tree_walk(
         self, rational3, rational3_perturbed, poly4, random_corpus
@@ -1056,8 +1057,8 @@ class TestCompiledDrift:
             assert type(exc_info.value.__cause__) is error
 
     def test_component_index_after_components_without_statements(self):
-        # da/dt and db/dt compile to no statement (a variable, a constant),
-        # so the component index must come from the fused function itself
+        # da/dt and db/dt are a variable and a constant, which cannot fail,
+        # and the failing third component must still be the one named
         system = lk.parse_model(
             "model skip\nvar a, b, c\neq a = b\neq b = 2\neq c = 1/(a - 1)\n"
             "init a = 0\ninit b = 0\ninit c = 0\nobs a\nhorizon 1\n"
@@ -1078,7 +1079,7 @@ class TestCompiledDrift:
 
     def test_pickle_round_trip(self, rational3_perturbed):
         # pickling, copying and replace all build the copy through the
-        # constructor, so it compiles its own drift
+        # constructor, so it compiles its own drift on its first one-point call
         system = rational3_perturbed
         x = np.array([0.73, 1.21, 0.4])
         f = lk.evaluate_drift(system, x)
@@ -1092,14 +1093,16 @@ class TestCompiledDrift:
             assert type(again) is lk.OdeSystem and again == system
             assert again.to_text() == system.to_text()
             assert again.drift == system.drift
-            # compiled as it was built, before any evaluation
-            assert vars(again)["_drift_function"] is not vars(system)["_drift_function"]
-            assert lk.evaluate_drift(again, x).tobytes() == f.tobytes()
+            assert "_drift_function" not in vars(again)
             f_dual, J = lk.evaluate_drift_dual(again, x)
+            assert "_drift_function" not in vars(again)
+            assert lk.evaluate_drift(again, x).tobytes() == f.tobytes()
+            assert vars(again)["_drift_function"] is not vars(system)["_drift_function"]
             assert f_dual.tobytes() == f_ref.tobytes()
             assert J.tobytes() == J_ref.tobytes()
 
-    def test_compiled_once_when_built(self, monkeypatch):
+    @staticmethod
+    def count_compiles(monkeypatch) -> list:
         compiled = []
         compile_drift = lk.model._compile_drift
 
@@ -1108,18 +1111,38 @@ class TestCompiledDrift:
             return compile_drift(*args)
 
         monkeypatch.setattr(lk.model, "_compile_drift", counting)
+        return compiled
+
+    def test_compiled_on_the_first_one_point_call(self, monkeypatch):
+        compiled = self.count_compiles(monkeypatch)
         system = lk.parse_model(model_path("rational3.ode").read_text())
-        assert compiled == ["rational3"]
         x = np.array([0.73, 1.21, 0.4])
-        lk.evaluate_drift(system, x)
         lk.evaluate_drift(system, np.array([x, 2 * x]))
         lk.evaluate_drift_dual(system, x)
         lk.evaluate_drift_dual(system, np.array([x, 2 * x]))
+        assert compiled == []
+        lk.evaluate_drift(system, x)
         assert compiled == ["rational3"]
+        lk.evaluate_drift(system, 2 * x)
+        lk.evaluate_drift(system, np.array([x, 2 * x]))
+        lk.evaluate_drift_dual(system, x)
+        assert compiled == ["rational3"]
+
+    def test_search_pipeline_compiles_nothing(self, monkeypatch):
+        # parse, basis and tolerance search evaluate only duals on blocks
+        compiled = self.count_compiles(monkeypatch)
+        workloads = benchmark_workloads()
+        system = lk.parse_model(workloads.rational_model_text(0))
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        config = lk.EpsilonSearchConfig(cutoff_size=system.dim // 2)
+        result = lk.find_epsilon(basis, system.observables, config)
+        assert result.lump.dim <= system.dim // 2
+        assert compiled == []
 
     def test_each_tree_is_walked_once(self, monkeypatch):
         # rational3 folds no constant: its m = 3 drift trees and p = 1
-        # observable are walked once each by parsing and first evaluation
+        # observable are walked once each by parsing; evaluation on points,
+        # blocks and duals, and the compile, read the programs kept then
         walked = []
         postfix = lk.model._postfix
 
@@ -1129,8 +1152,11 @@ class TestCompiledDrift:
 
         monkeypatch.setattr(lk.model, "_postfix", counting)
         system = lk.parse_model(model_path("rational3.ode").read_text())
-        lk.evaluate_drift(system, np.array([0.73, 1.21, 0.4]))
-        lk.evaluate_drift_dual(system, np.array([0.73, 1.21, 0.4]))
+        x = np.array([0.73, 1.21, 0.4])
+        for points in (x, np.array([x, 2 * x])):
+            lk.evaluate_drift(system, points)
+            lk.evaluate_drift_dual(system, points)
+        assert "_drift_function" in vars(system)
         assert len(walked) == system.dim + len(system.observables) == 4
         assert all(map(operator.is_, walked[1:], system.drift))  # the obs line, then each drift
 
