@@ -35,10 +35,9 @@ from .errors import (
     RankDeficiencyError,
 )
 from .jacobian import JacobianBasis
-from .model import OdeSystem, equal_values, evaluate_drift, orthonormalize_rows, project_out, read_only
+from .model import RANK_RTOL, OdeSystem, equal_values, evaluate_drift, orthonormalize_rows, project_out, read_only
 
 __all__ = [
-    "ZERO_EPSILON_RTOL",
     "RowProvenance",
     "TraceEvent",
     "LumpingMatrix",
@@ -52,10 +51,6 @@ __all__ = [
     "find_epsilon",
     "staircase",
 ]
-
-# epsilon = 0 is implemented as this relative slack so that float noise in an
-# exactly invariant row space does not trigger spurious appends
-ZERO_EPSILON_RTOL = 1e-12
 
 _ORTHONORMALITY_ATOL = 1e-10
 
@@ -182,11 +177,12 @@ def _scale_exponents(V) -> np.ndarray | None:
 def _decide(dist, epsilon, slack, lo):
     """The decision on a batch of checks in order: n, the checks before the
     first append (``len(dist)`` if none), and ``lo`` raised to the largest of
-    their distances above the float ``slack``. The tolerance enters the sweep
-    only here, through ``distance > epsilon`` for checks above the slack while
-    rows can still be appended, so ``valid_for`` is [lo, hi): lo the largest
-    such distance not appended (0 if none), hi the smallest appended distance
-    (inf if none)."""
+    their distances above the ``slack``, RANK_RTOL times each image's norm
+    (the relative rule of :func:`~lumpkit.model.scaled_residual`, which alone
+    decides epsilon = 0). The tolerance enters the sweep only here, through
+    ``distance > epsilon`` for checks above the slack while rows can still be
+    appended, so ``valid_for`` is [lo, hi): lo the largest such distance not
+    appended (0 if none), hi the smallest appended distance (inf if none)."""
     over = dist > np.fmax(epsilon, slack)
     n = int(over.argmax()) if over.any() else len(dist)
     return n, float(dist[:n][dist[:n] > slack[:n]].max(initial=lo))
@@ -203,7 +199,8 @@ def approximate_lump(
     Starting from L = orthonormalized observable rows, sweep rows in append
     order and basis matrices in index order; for each pair compute
     v = r @ J_i and its defect against the current row space. A defect larger
-    than epsilon (or the float slack when epsilon is 0) appends the
+    than epsilon that also passes the package's one rank test, larger than
+    RANK_RTOL * ||v|| (all that counts at epsilon = 0), appends the
     normalized defect as a new row. New rows are swept in the same pass, and
     one pass is a fixpoint: a defect measured against a larger row space is
     never larger, and an appended image already lies in the span.
@@ -249,7 +246,7 @@ def _sweep(basis, observables, epsilon, record_trace, cap) -> LumpingMatrix | No
         if e is not None:  # images measured at 2**-e; slack and distances in true units
             V = np.ldexp(V, -e[:, None])
         norms = np.sqrt(np.add.reduce(V * V, axis=1))
-        slack = ZERO_EPSILON_RTOL * (norms if e is None else np.ldexp(norms, e))
+        slack = RANK_RTOL * (norms if e is None else np.ldexp(norms, e))
         k0 = 0
         while k0 < len(V):
             # the images from k0 on are unchecked; every check before

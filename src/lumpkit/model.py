@@ -478,9 +478,10 @@ class OdeSystem:
     the sweep would reject, such as a and a + 1e-10 b, fail here, while tiny
     independent rows, such as 1e-17 b beside a, are kept.
 
-    Construction keeps each drift tree's postfix program, and the first
-    one-point :func:`evaluate_drift` compiles them; neither is a field. Pickling
-    and copying go through the constructor, and each copy compiles its own.
+    Construction sets ``dim``, the state dimension, and keeps each drift
+    tree's postfix program, and the first one-point :func:`evaluate_drift`
+    compiles the programs; none of these is a field. Pickling and copying go
+    through the constructor, and each copy compiles its own.
     """
 
     name: str
@@ -498,6 +499,7 @@ class OdeSystem:
         m = len(self.var_names)
         if len(self.drift) != m:
             raise ModelValidationError("one drift expression per variable required")
+        object.__setattr__(self, "dim", m)
         object.__setattr__(self, "_programs", tuple(map(_postfix, self.drift)))
         for var, program in zip(self.var_names, self._programs):
             if not all(math.isfinite(arg) for kind, arg in program if kind is Constant):
@@ -527,10 +529,6 @@ class OdeSystem:
         except RankDeficiencyError:
             raise ModelValidationError("observable matrix is rank-deficient") from None
         object.__setattr__(self, "observables", M)
-
-    @property
-    def dim(self) -> int:
-        return len(self.var_names)
 
     @functools.cached_property
     def _drift_function(self) -> Callable:

@@ -241,7 +241,7 @@ def sweep_fixpoint_holds(basis: lk.JacobianBasis, lump: lk.LumpingMatrix) -> boo
             v = r @ J
             defect = v - (v @ L.T) @ L
             distance = float(np.linalg.norm(defect))
-            threshold = max(lump.epsilon, 1e-12 * float(np.linalg.norm(v)))
+            threshold = max(lump.epsilon, lk.RANK_RTOL * float(np.linalg.norm(v)))
             if distance > threshold * (1 + 1e-12) + 1e-300:
                 return False
     return True
