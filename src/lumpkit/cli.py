@@ -307,6 +307,8 @@ def _cmd_sweep(args) -> int:
     seed, out, phases, system, basis = _start(args)
 
     eps_mx = epsilon_max(basis, system.observables)
+    if math.isinf(eps_mx):
+        raise LumpkitError("epsilon_max is inf: a defect lies past the float range")
     grid = np.linspace(0.0, eps_mx, args.grid)
     pairs = (*staircase(basis, system.observables, grid[:-1]), (eps_mx, len(system.observables)))
     phases.mark("sweep")

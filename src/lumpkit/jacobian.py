@@ -115,9 +115,10 @@ class JacobianBasis:
         object.__setattr__(self, "matrices", read_only(self.matrices).reshape(-1, m, m))
         object.__setattr__(self, "sample_points", points)
         object.__setattr__(self, "ortho_flat", read_only(self.ortho_flat))
-        # max |entry| (nan if one is nan) for the overflow bound of the lumping sweep
-        top = max(-self.matrices.min(initial=0.0), self.matrices.max(initial=0.0))
-        object.__setattr__(self, "_max_abs", float(top))
+        # max |entry| (nan if one is nan) and min nonzero |entry| gate the sweep's rescaling
+        size = np.abs(self.matrices)
+        object.__setattr__(self, "_max_abs", float(size.max(initial=0.0)))
+        object.__setattr__(self, "_min_abs", float(size[size > 0].min(initial=np.inf)))
         if len(self.matrices) != len(self.sample_points):
             raise DimensionMismatchError("one sample point slot per matrix required")
         if self.ortho_flat.shape != (len(self.matrices), m * m):

@@ -165,27 +165,18 @@ def _measure(V, stack):
     return defects, np.sqrt(np.add.reduce(defects * defects, axis=1))
 
 
-def _scale_exponents(V) -> np.ndarray | None:
-    """None, or when the squared norm of a row of V could overflow, each
-    row's e with max|row| = f * 2**e (0.5 <= f < 1): scaled by ``2**-e`` no
-    row overflows, and a power-of-two scale is exact, as in
-    :func:`~lumpkit.model.scaled_residual`."""
-    top = float(np.abs(V).max(initial=0.0))
-    return np.frexp(np.abs(V).max(axis=1))[1] if math.isinf(top * top * V.shape[1]) else None
-
-
-def _decide(dist, epsilon, slack, lo):
+def _decide(dist, epsilon, independent, lo):
     """The decision on a batch of checks in order: n, the checks before the
     first append (``len(dist)`` if none), and ``lo`` raised to the largest of
-    their distances above the ``slack``, RANK_RTOL times each image's norm
-    (the relative rule of :func:`~lumpkit.model.scaled_residual`, which alone
-    decides epsilon = 0). The tolerance enters the sweep only here, through
-    ``distance > epsilon`` for checks above the slack while rows can still be
-    appended, so ``valid_for`` is [lo, hi): lo the largest such distance not
-    appended (0 if none), hi the smallest appended distance (inf if none)."""
-    over = dist > np.fmax(epsilon, slack)
+    their distances whose image is ``independent`` (the mask the sweep takes in
+    the images' own scale by the rule of :func:`~lumpkit.model.scaled_residual`,
+    which alone decides epsilon = 0). The tolerance enters only here, through
+    ``distance > epsilon`` in true units for independent images while rows can
+    still be appended, so ``valid_for`` is [lo, hi): lo the largest such distance
+    not appended (0 if none), hi the smallest appended distance (inf if none)."""
+    over = independent & (dist > epsilon)
     n = int(over.argmax()) if over.any() else len(dist)
-    return n, float(dist[:n][dist[:n] > slack[:n]].max(initial=lo))
+    return n, float(dist[:n][independent[:n]].max(initial=lo))
 
 
 def approximate_lump(
@@ -198,12 +189,14 @@ def approximate_lump(
 
     Starting from L = orthonormalized observable rows, sweep rows in append
     order and basis matrices in index order; for each pair compute
-    v = r @ J_i and its defect against the current row space. A defect larger
-    than epsilon that also passes the package's one rank test, larger than
-    RANK_RTOL * ||v|| (all that counts at epsilon = 0), appends the
-    normalized defect as a new row. New rows are swept in the same pass, and
-    one pass is a fixpoint: a defect measured against a larger row space is
-    never larger, and an appended image already lies in the span.
+    v = r @ J_i and its defect against the current row space. A defect that
+    passes the package's one rank test, larger than RANK_RTOL * ||v|| in v's
+    own power-of-two scale (all that counts at epsilon = 0), and that is
+    larger than epsilon in true units appends the normalized defect as a new
+    row; a defect past the float range is inf, larger than any finite
+    epsilon. New rows are swept in the same pass, and one pass is a
+    fixpoint: a defect measured against a larger row space is never larger,
+    and an appended image already lies in the span.
 
     :func:`_sweep` is the skeleton (row walk, append, provenance, trace,
     ``valid_for``). A row's images are measured in one batch
@@ -238,24 +231,27 @@ def _sweep(basis, observables, epsilon, record_trace, cap) -> LumpingMatrix | No
     lo, hi = 0.0, math.inf
 
     bound = 2 * m * basis._max_abs  # |r @ J| <= sqrt(m) max|J| for a unit row r, so
-    may_overflow = not math.isfinite(bound * bound)  # squared image norms stay below bound**2
+    # squared image norms stay below bound**2; below 2**-450 an entry's images
+    # near the subnormal range when squared, where squares lose bits or vanish
+    rescale = not math.isfinite(bound * bound) or basis._min_abs < 2.0**-450
     row = 0
     while row < count:
         V = L[row] @ basis.matrices
-        e = _scale_exponents(V) if may_overflow else None
-        if e is not None:  # images measured at 2**-e; slack and distances in true units
+        if rescale:  # image k at 2**-e[k], max|image| = f * 2**e (0.5 <= f < 1)
+            e = np.frexp(np.abs(V).max(axis=1))[1]
             V = np.ldexp(V, -e[:, None])
-        norms = np.sqrt(np.add.reduce(V * V, axis=1))
-        slack = RANK_RTOL * (norms if e is None else np.ldexp(norms, e))
+        floor = RANK_RTOL * np.sqrt(np.add.reduce(V * V, axis=1))
         k0 = 0
         while k0 < len(V):
             # the images from k0 on are unchecked; every check before
             # the first append among them is final as measured here
             cur = L[:count]
             defects, dist = _measure(V[k0:], cur)
-            if e is not None:
-                dist = np.ldexp(dist, e[k0:])
-            n, lo = _decide(dist, epsilon, slack[k0:], lo) if count < m else (len(dist), lo)
+            independent = dist > floor[k0:]
+            if rescale:
+                with np.errstate(over="ignore"):  # a distance past the float range is inf
+                    dist = np.ldexp(dist, e[k0:])
+            n, lo = _decide(dist, epsilon, independent, lo) if count < m else (len(dist), lo)
             if record_trace:
                 trace.extend(
                     TraceEvent(1, row, k0 + j, float(dist[j]), j == n)

@@ -56,12 +56,13 @@ BIG_POWER = (
     "init a = 10\ninit b = 1\nobs b\nhorizon 1\n"
 )
 
-# models deeper than Python's recursion limit: 300 parenthesis pairs on
-# line 3, which the parser rejects, and a 3,000-term drift sum on line 3 or
-# observable on line 7, which every reader of the tree takes
+# models deeper than Python's recursion limit: 300 or 5,000 parenthesis
+# pairs on line 3, which the parser rejects, and a 3,000-term drift sum on
+# line 3 or observable on line 7, which every reader of the tree takes
 _SHALLOW = "model deep\nvar a, b\neq a = b\neq b = a\ninit a = 1\ninit b = 1\nobs a\nhorizon 1\n"
 DEEP_NESTING = {
     "parentheses": _SHALLOW.replace("eq a = b", "eq a = " + "(" * 300 + "b" + ")" * 300),
+    "parentheses_5000": _SHALLOW.replace("eq a = b", "eq a = " + "(" * 5000 + "b" + ")" * 5000),
     "drift_sum": _SHALLOW.replace("eq a = b", "eq a = " + " + ".join(["b"] * 3000)),
     "observable_sum": _SHALLOW.replace("obs a", "obs " + " + ".join(["a"] * 3000)),
 }

@@ -20,6 +20,12 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 RATIONAL3 = str(MODELS / "rational3.ode")
 PERTURBED = str(MODELS / "rational3_perturbed.ode")
 
+# the image of row a under J has a norm past the float range
+OVERFLOW = (
+    "model over\nvar a, b, c\neq a = 1.5e308*b + 1.5e308*c\neq b = b\neq c = c\n"
+    "init a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
+)
+
 REFERENCE_PROJECTOR = np.array(
     [[1.0, 0.0, 0.0], [0.0, 0.2, 0.4], [0.0, 0.4, 0.8]]
 )
@@ -169,6 +175,30 @@ class TestLump:
                     "--epsilon", "0", "--points", str(points)]) == 1
         err = capsys.readouterr().err
         assert err == "error: sample point 0 is not a vector of length 3: shape ()\n"
+
+    def test_points_file_of_non_numbers_exits_1(self, tmp_path, capsys):
+        points = tmp_path / "points.json"
+        points.write_text('[{"a": 1}]')
+        assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--epsilon", "0", "--points", str(points)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {points}: ") and err.count("\n") == 1
+
+    def test_image_past_the_float_range_is_appended(self, tmp_path, capsys):
+        model = tmp_path / "over.ode"
+        model.write_text(OVERFLOW)
+        assert run(["lump", "--model", str(model), "--out", str(tmp_path / "o"),
+                    "--epsilon", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "reduced size: 2 of 3"
+        assert err == ""
+
+    def test_deeply_nested_model_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "deep.ode"
+        model.write_text(DEEP_NESTING["parentheses_5000"])
+        assert run(["lump", "--model", str(model), "--out", str(tmp_path / "o"),
+                    "--epsilon", "0.1"]) == 1
+        assert capsys.readouterr().err == "error: line 3: expression nests too deeply\n"
 
     @staticmethod
     def assert_observable_overflow_exits_1(tmp_path, capsys, observable):
@@ -498,6 +528,13 @@ class TestSweep:
         monkeypatch.setattr(cli_mod, "staircase", broken)
         assert run(["sweep", "--model", PERTURBED,
                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_infinite_epsilon_max_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "over.ode"
+        model.write_text(OVERFLOW)
+        assert run(["sweep", "--model", str(model), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: epsilon_max is inf: a defect lies past the float range\n"
 
     def test_grid_validation(self, tmp_path):
         assert run(["sweep", "--model", PERTURBED, "--out", str(tmp_path / "o"),

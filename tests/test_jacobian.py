@@ -427,6 +427,18 @@ class TestExplicitBases:
         basis = lk.basis_from_matrices([], state_dim=3)
         assert basis.dimension == 0
 
+    def test_wrong_shape_matrix_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="wrong shape"):
+            lk.basis_from_matrices([GOLDEN_J_PLAIN[0], np.eye(2)])
+
+    def test_inconsistent_fields_rejected(self):
+        basis = lk.basis_from_matrices([GOLDEN_J_PLAIN[0], GOLDEN_J_PLAIN[1]])
+        fields = (basis.state_dim, basis.matrices, basis.sample_points, basis.ortho_flat)
+        with pytest.raises(DimensionMismatchError, match="one sample point slot per matrix"):
+            lk.JacobianBasis(*fields[:2], (None,), fields[3])
+        with pytest.raises(DimensionMismatchError, match="ortho_flat shape"):
+            lk.JacobianBasis(*fields[:3], fields[3][:1])
+
     def test_equality_compares_arrays_by_value(self):
         J1, J2 = GOLDEN_J_PLAIN[0], GOLDEN_J_PLAIN[1]
         basis = lk.basis_from_matrices([J1, J2])

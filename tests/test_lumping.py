@@ -84,6 +84,11 @@ class TestLumpingMatrix:
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatchError):
             lk.LumpingMatrix(matrix=np.eye(3), epsilon=0.0, observable_rank=4)
+        provenance = (lk.lumping.RowProvenance("observable"),)
+        with pytest.raises(DimensionMismatchError, match="one provenance entry per row"):
+            lk.LumpingMatrix(
+                matrix=np.eye(3)[:2], epsilon=0.0, observable_rank=1, provenance=provenance
+            )
 
     def test_projection_and_pseudoinverse(self, reference_lump):
         x = np.array([1.0, 1.0, 1.0])
@@ -196,6 +201,10 @@ class TestExactLumping:
         with pytest.raises(ValueError, match="epsilon"):
             lk.approximate_lump(worked_basis, OBS_X1, np.nan)
 
+    def test_observables_of_another_dimension_rejected(self, worked_basis):
+        with pytest.raises(DimensionMismatchError, match="different state dims"):
+            lk.approximate_lump(worked_basis, [[1.0, 0.0]], 0.1)
+
     def test_images_whose_squares_overflow_append(self):
         # Jacobian entries up to 2.3e217: the squared norms of the images of
         # row a overflow, so the sweep measures them at a power-of-two scale
@@ -212,6 +221,53 @@ class TestExactLumping:
         assert [row.distance for row in lump.provenance] == [None, 1.0, 1e200]
         assert lump.valid_for == (0.0, 1.0)
         assert [event.distance for event in lump.trace if event.appended] == [1.0, 1e200]
+
+    @pytest.mark.parametrize(
+        "coefficient, epsilon, distance",
+        [(1.5e308, 0.1, math.inf), (1e-170, 0.0, 1e-170 * math.sqrt(2))],
+        ids=["past_float_range", "squares_underflow"],
+    )
+    def test_images_past_the_float_range_append(self, coefficient, epsilon, distance):
+        # the image of row a is c * (0, 1, 1): its norm overflows, or its
+        # squares underflow, in true units; at its own scale it is independent
+        system = lk.parse_model(
+            f"model edge\nvar a, b, c\neq a = {coefficient!r}*b + {coefficient!r}*c\n"
+            "eq b = -b\neq c = -c\ninit a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
+        )
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system))
+        lump = lk.approximate_lump(basis, system.observables, epsilon)
+        assert lump.dim == 2
+        assert lump.provenance[1].distance == pytest.approx(distance, rel=1e-15)
+        assert lump.valid_for == (0.0, lump.provenance[1].distance)
+        assert lk.epsilon_max(basis, system.observables) == lump.provenance[1].distance
+
+    @pytest.mark.parametrize("power", [600, -550], ids=["huge", "tiny"])
+    def test_power_of_two_scale_keeps_decisions(self, power):
+        # a basis scaled by 2**power, swept at a tolerance scaled alike, gives
+        # the same rows, and trace, provenance and valid_for distances scaled
+        # exactly: the rank rule is applied at each image's own scale
+        def scale(distance):
+            return None if distance is None else math.ldexp(distance, power)
+
+        workloads = benchmark_workloads()
+        for key in range(3):
+            system = lk.parse_model(workloads.rational_model_text(key))
+            basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=key))
+            scaled = lk.JacobianBasis(
+                basis.state_dim, np.ldexp(basis.matrices, power), basis.sample_points, basis.ortho_flat
+            )
+            M = system.observables
+            for epsilon in (0.0, 0.5 * lk.epsilon_max(basis, M), math.inf):
+                lump = lk.approximate_lump(basis, M, epsilon, record_trace=True)
+                other = lk.approximate_lump(scaled, M, scale(epsilon), record_trace=True)
+                assert other.matrix.tobytes() == lump.matrix.tobytes()
+                assert [p.distance for p in other.provenance] == [
+                    scale(p.distance) for p in lump.provenance
+                ]
+                assert [(scale(t.distance), t.appended) for t in lump.trace] == [
+                    (t.distance, t.appended) for t in other.trace
+                ]
+                assert other.valid_for == tuple(map(scale, lump.valid_for))
 
 
 def per_point_deviation(system, lump, x):
@@ -698,22 +754,23 @@ class TestValidFor:
         }
 
 
-SLACK = np.full(4, 1e-12)
-
-
 @pytest.mark.parametrize(
-    "dist, epsilon, lo, decision",
+    "dist, independent, epsilon, lo, decision",
     [
-        ([1e-13, 5e-13, 0.0, 9e-13], 0.1, 0.02, (4, 0.02)),  # all below the slack
-        ([0.02, 0.05, 1e-13, 0.01], 0.05, 0.0, (4, 0.05)),  # above it, none over epsilon
-        ([0.03, 0.2, 0.09, 0.5], 0.1, 0.0, (1, 0.03)),  # lo only from before the first over
-        ([0.3, 5.0, 1e-14, 7.0], math.inf, 0.4, (4, 7.0)),  # an infinite tolerance
-        ([5e-13, 3e-12, 1.0, 0.0], 0.0, 0.0, (1, 0.0)),  # at 0 the slack decides
+        ([1e-13, 5e-13, 0.0, 9e-13], [0, 0, 0, 0], 0.1, 0.02, (4, 0.02)),  # none independent
+        ([0.02, 0.05, 1e-13, 0.01], [1, 1, 0, 1], 0.05, 0.0, (4, 0.05)),  # none over epsilon
+        ([0.03, 0.2, 0.09, 0.5], [1, 1, 1, 1], 0.1, 0.0, (1, 0.03)),  # lo from before the first over
+        ([0.3, 5.0, 1e-14, 7.0], [1, 1, 0, 1], math.inf, 0.4, (4, 7.0)),  # an infinite tolerance
+        ([5e-13, 3e-12, 1.0, 0.0], [0, 1, 1, 0], 0.0, 0.0, (1, 0.0)),  # at 0 the mask decides
+        ([0.1, 2.0, 0.5], [1, 0, 1], 0.2, 0.0, (2, 0.1)),  # a dependent image never counts
+        ([0.1, math.inf, 0.3], [1, 1, 1], 1e300, 0.0, (1, 0.1)),  # a distance past the float range
+        ([0.1, math.inf, 0.3], [1, 1, 1], math.inf, 0.0, (3, math.inf)),  # ... at an infinite one
     ],
-    ids=["below_slack", "within_epsilon", "first_over", "infinite", "zero"],
+    ids=["below_slack", "within_epsilon", "first_over", "infinite", "zero", "masked",
+         "inf_distance", "inf_both"],
 )
-def test_decide(dist, epsilon, lo, decision):
-    n, new_lo = _decide(np.array(dist), epsilon, SLACK, lo)
+def test_decide(dist, independent, epsilon, lo, decision):
+    n, new_lo = _decide(np.array(dist), epsilon, np.array(independent, dtype=bool), lo)
     assert (n, new_lo) == decision
     assert type(n) is int and type(new_lo) is float
 
@@ -764,9 +821,9 @@ def second_pass_is_idle(basis, lump):
     lo = lump.valid_for[0]
     for row in L:
         V = row @ basis.matrices
-        slack = lk.RANK_RTOL * np.linalg.norm(V, axis=1)
         _, dist = _measure(V, L)
-        if _decide(dist, lump.epsilon, slack, lo) != (len(dist), lo):
+        independent = dist > lk.RANK_RTOL * np.linalg.norm(V, axis=1)
+        if _decide(dist, lump.epsilon, independent, lo) != (len(dist), lo):
             return False
     return True
 

@@ -415,7 +415,7 @@ class TestParsing:
         system = lk.parse_model(variant("obs a", f"obs {observable}"))
         np.testing.assert_array_equal(system.observables, [row])
 
-    @pytest.mark.parametrize("observable", ["a/0", "a^2"])
+    @pytest.mark.parametrize("observable", ["a/0", "a^2", "a + a*b"])
     def test_observable_over_zero_or_squared_rejected(self, observable):
         with pytest.raises(ModelSyntaxError, match="observable must be linear") as exc_info:
             lk.parse_model(variant("obs a", f"obs {observable}"))
@@ -681,6 +681,12 @@ class TestDualNumbers:
         assert one.value == 1.0
         np.testing.assert_array_equal(one.partials, [0.0, 0.0])
         assert (x**1).value == x.value
+
+    @pytest.mark.parametrize("exponent", [-1, 2.0])
+    def test_exponent_must_be_a_non_negative_integer(self, exponent):
+        x = lk.DualVector(3.0, np.array([1.0, 0.0]))
+        with pytest.raises(TypeError, match="non-negative integer"):
+            _ = x**exponent
 
     def test_quotient_rule(self):
         u = lk.DualVector(1.0, np.array([1.0, 0.0]))
@@ -1139,6 +1145,10 @@ class TestCompiledDrift:
         assert result.lump.dim <= system.dim // 2
         assert compiled == []
 
+    def test_postfix_rejects_a_non_node(self):
+        with pytest.raises(TypeError, match="not an expression node: 2.0"):
+            lk.model._postfix(Add(Variable(0), 2.0))
+
     def test_each_tree_is_walked_once(self, monkeypatch):
         # rational3 folds no constant: its m = 3 drift trees and p = 1
         # observable are walked once each by parsing; evaluation on points,
@@ -1168,13 +1178,22 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize(
         "text",
-        [DEEP_NESTING["parentheses"], two_var("eq a = " + "-" * 3000 + "b\neq b = a")],
-        ids=["parentheses", "minuses"],
+        [
+            DEEP_NESTING["parentheses"],
+            DEEP_NESTING["parentheses_5000"],
+            two_var("eq a = " + "-" * 3000 + "b\neq b = a"),
+        ],
+        ids=["parentheses", "parentheses_5000", "minuses"],
     )
     def test_nested_expression(self, text):
-        with pytest.raises(ModelSyntaxError, match="nests too deeply") as exc_info:
+        with pytest.raises(ModelSyntaxError) as exc_info:
             lk.parse_model(text)
+        assert str(exc_info.value) == "line 3: expression nests too deeply"
         assert exc_info.value.line == 3
+
+    def test_moderate_nesting_parses(self):
+        system = lk.parse_model(two_var("eq a = " + "(" * 100 + "b" + ")" * 100 + "\neq b = a"))
+        assert system.drift[0] == Variable(1)
 
     def test_long_drift_sum(self):
         # the parser reads a sum in a loop, and the drift compiler keeps its own stack
