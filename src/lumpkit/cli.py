@@ -110,7 +110,13 @@ def _resolve_seed(value) -> int:
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON (RFC 8259), each non-finite float as null."""
+    dump = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = dump(payload)
+    except ValueError:  # only a payload holding inf or nan pays for the round trip
+        text = dump(json.loads(json.dumps(payload), parse_constant=lambda _: None))
+    path.write_text(text + "\n")
 
 
 def _write_manifest(out: Path, args, timings: dict, **resolved):
@@ -182,8 +188,8 @@ def _start(args, sample: bool = True, points: str | None = None):
 
 
 def _cmd_lump(args) -> int:
-    if not args.epsilon >= 0:
-        raise _UsageError("--epsilon must be non-negative")
+    if not 0 <= args.epsilon < math.inf:
+        raise _UsageError("--epsilon must be non-negative and finite")
     seed, out, phases, system, basis = _start(args, points=args.points)
 
     lump = approximate_lump(basis, system.observables, args.epsilon)
@@ -202,14 +208,16 @@ def _cmd_lump(args) -> int:
 def _cmd_find_epsilon(args) -> int:
     if not (0 < args.ratio <= 1):
         raise _UsageError("--ratio must lie in (0, 1]")
-    if not args.d_min > 0:
-        raise _UsageError("--d-min must be positive")
+    if not 0 < args.d_min < math.inf:
+        raise _UsageError("--d-min must be positive and finite")
     seed, out, phases, system, basis = _start(args)
 
     # fractional cutoffs bound the size from above, so round down
     cutoff = int(math.floor(args.ratio * system.dim + 1e-9))
     config = EpsilonSearchConfig(cutoff_size=cutoff, d_min=args.d_min)
     result = find_epsilon(basis, system.observables, config)
+    if math.isinf(result.epsilon):
+        raise LumpkitError("the tolerance found is inf: a defect lies past the float range")
     phases.mark("search")
 
     if result.boundary == "cutoff_below_observable_rank":
@@ -256,8 +264,8 @@ def _load_lumping(path: str, state_dim: int) -> LumpingMatrix:
 def _cmd_simulate(args) -> int:
     if args.grid < 200:
         raise _UsageError("--grid must be at least 200")
-    if not (args.rel_tol > 0 and args.abs_tol > 0):
-        raise _UsageError("--rel-tol and --abs-tol must be positive")
+    if not (0 < args.rel_tol < math.inf and 0 < args.abs_tol < math.inf):
+        raise _UsageError("--rel-tol and --abs-tol must be positive and finite")
     if args.horizon is not None and not (0 < args.horizon < math.inf):
         raise _UsageError("--horizon must be positive and finite")
     seed, out, phases, system, _ = _start(args, sample=False)

@@ -92,8 +92,9 @@ class LumpingMatrix:
 
     ``valid_for`` is set by :func:`approximate_lump`: the half-open interval
     [lo, hi) of tolerances at which the sweep takes the same append decisions,
-    and so returns this same matrix and provenance bit for bit. It is None
-    for a matrix built any other way and is not part of the JSON form.
+    and so returns this same matrix and provenance bit for bit; (inf, inf)
+    stands for the single tolerance inf. It is None for a matrix built any
+    other way and is not part of the JSON form.
     """
 
     matrix: np.ndarray
@@ -236,10 +237,18 @@ def _sweep(basis, observables, epsilon, record_trace, cap) -> LumpingMatrix | No
     rescale = not math.isfinite(bound * bound) or basis._min_abs < 2.0**-450
     row = 0
     while row < count:
-        V = L[row] @ basis.matrices
         if rescale:  # image k at 2**-e[k], max|image| = f * 2**e (0.5 <= f < 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = L[row] @ basis.matrices
+            # a product past the float range is taken again from J_k at 2**-s
+            lost = np.flatnonzero(~np.isfinite(V).all(axis=1))
+            s = np.frexp(np.abs(basis.matrices[lost]).max(axis=(1, 2)))[1]
+            V[lost] = L[row] @ np.ldexp(basis.matrices[lost], -s[:, None, None])
             e = np.frexp(np.abs(V).max(axis=1))[1]
             V = np.ldexp(V, -e[:, None])
+            e[lost] += s
+        else:
+            V = L[row] @ basis.matrices
         floor = RANK_RTOL * np.sqrt(np.add.reduce(V * V, axis=1))
         k0 = 0
         while k0 < len(V):
@@ -305,7 +314,7 @@ def epsilon_max(basis: JacobianBasis, observables) -> float:
     """Smallest tolerance at which :func:`approximate_lump` keeps only the
     observable rows: the lower end of ``valid_for`` of the sweep at an
     infinite tolerance, which appends nothing, so that interval is
-    [epsilon_max, inf)."""
+    [epsilon_max, inf), or the single tolerance inf when epsilon_max is inf."""
     return approximate_lump(basis, observables, math.inf).valid_for[0]
 
 

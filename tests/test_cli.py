@@ -25,6 +25,11 @@ OVERFLOW = (
     "model over\nvar a, b, c\neq a = 1.5e308*b + 1.5e308*c\neq b = b\neq c = c\n"
     "init a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
 )
+# the product of the observable row and J passes the float range by itself
+PRODUCT_OVERFLOW = (
+    "model over\nvar a, b, c\neq a = 1.7e308*c\neq b = 1.7e308*c\neq c = c\n"
+    "init a = 1\ninit b = 1\ninit c = 1\nobs a + b\nhorizon 1\n"
+)
 
 REFERENCE_PROJECTOR = np.array(
     [[1.0, 0.0, 0.0], [0.0, 0.2, 0.4], [0.0, 0.4, 0.8]]
@@ -32,17 +37,24 @@ REFERENCE_PROJECTOR = np.array(
 
 
 def run(argv):
-    """main(argv) with the two RuntimeWarnings lumpkit issues on purpose
-    ignored and any other RuntimeWarning raised as an error."""
+    """main(argv) with any RuntimeWarning raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        warnings.filterwarnings("ignore", "error bound overflows", RuntimeWarning)
-        warnings.filterwarnings("ignore", "observed error exceeds", RuntimeWarning)
         return main(argv)
 
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def read_strict_json(path):
+    """The JSON value in ``path``, read by a parser that rejects Infinity and
+    NaN, which are not JSON (RFC 8259)."""
+
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def write_reference_lumping(path, epsilon=0.05):
@@ -142,6 +154,13 @@ class TestLump:
         assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
                     "--epsilon", "-1"]) == 1
 
+    def test_infinite_epsilon_exits_1(self, tmp_path, capsys):
+        # L.json's epsilon must stay a number that strict JSON can hold
+        assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
+                    "--epsilon", "inf"]) == 1
+        assert capsys.readouterr().err == "error: --epsilon must be non-negative and finite\n"
+        assert not (tmp_path / "o").exists()
+
     def test_nan_epsilon(self, tmp_path, capsys):
         assert run(["lump", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
                     "--epsilon", "nan"]) == 1
@@ -192,6 +211,18 @@ class TestLump:
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "reduced size: 2 of 3"
         assert err == ""
+
+    def test_product_past_the_float_range_is_appended(self, tmp_path, capsys):
+        model = tmp_path / "over.ode"
+        model.write_text(PRODUCT_OVERFLOW)
+        assert run(["lump", "--model", str(model), "--out", str(tmp_path / "o"),
+                    "--epsilon", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "reduced size: 2 of 3"
+        assert err == ""
+        lump = read_strict_json(tmp_path / "o" / "L.json")
+        assert lump["matrix"][1] == [0.0, 0.0, 1.0]
+        assert lump["provenance"][1]["distance"] is None  # inf, written as null
 
     def test_deeply_nested_model_exits_1(self, tmp_path, capsys):
         model = tmp_path / "deep.ode"
@@ -287,6 +318,7 @@ class TestFindEpsilon:
             ["--ratio", "1.5"],
             ["--ratio", "0.5", "--d-min", "0"],
             ["--ratio", "0.5", "--d-min", "nan"],
+            ["--ratio", "0.5", "--d-min", "inf"],
         ),
     )
     def test_parameter_validation(self, tmp_path, extra):
@@ -301,6 +333,18 @@ class TestFindEpsilon:
         assert run(["find-epsilon", "--model", RATIONAL3, "--out", str(tmp_path / "o"),
                     "--ratio", "0.5", "--d-min", "nan"]) == 1
         assert "--d-min" in capsys.readouterr().err
+
+    def test_infinite_tolerance_exits_2(self, tmp_path, capsys):
+        # every finite tolerance appends the infinite defect, so the search
+        # ends at inf, which no artifact can hold as a number
+        model = tmp_path / "over.ode"
+        model.write_text(OVERFLOW)
+        out = tmp_path / "o"
+        assert run(["find-epsilon", "--model", str(model), "--out", str(out),
+                    "--ratio", "0.34"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the tolerance found is inf: a defect lies past the float range\n"
+        assert not (out / "search.json").exists() and not (out / "L.json").exists()
 
 
 class TestSimulate:
@@ -349,6 +393,19 @@ class TestSimulate:
                     "--lumping", str(lpath), "--rel-tol", "1e-8"])
         assert code == 0
         assert read_json(out / "report.json")["e_max"] <= 1e-6
+
+    def test_identity_lumping_bound_is_zero(self, tmp_path, capsys):
+        # no deviation: the bound is 0, where 0 times the saturated growth
+        # factor would be nan
+        lpath = tmp_path / "L.json"
+        lpath.write_text(json.dumps({"matrix": np.eye(3).tolist(), "observable_rank": 1}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--model", PERTURBED, "--out", str(out),
+                    "--lumping", str(lpath)]) == 0
+        report = read_strict_json(out / "report.json")
+        assert (report["e_max"], report["eta"], report["bound"]) == (0.0, 0.0, 0.0)
+        assert report["bound_satisfied"] is True
+        assert capsys.readouterr().err == ""
 
     def test_overflowing_first_step_exits_2(self, tmp_path, capsys):
         model = tmp_path / "nonfinite.ode"
@@ -417,6 +474,8 @@ class TestSimulate:
             ["--abs-tol", "-1"],
             ["--grid", "100"],
             ["--horizon", "0"],
+            ["--rel-tol", "inf"],
+            ["--abs-tol", "inf"],
         ),
     )
     def test_parameter_validation(self, tmp_path, extra):
@@ -539,6 +598,28 @@ class TestSweep:
     def test_grid_validation(self, tmp_path):
         assert run(["sweep", "--model", PERTURBED, "--out", str(tmp_path / "o"),
                     "--grid", "1"]) == 1
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("model", ["rational3", "rational3_perturbed", "poly4"])
+    def test_every_artifact_parses_strictly(self, tmp_path, capsys, model):
+        path = str(MODELS / f"{model}.ode")
+        for argv in (
+            ["lump", "--out", str(tmp_path / "lump"), "--epsilon", "0.1"],
+            ["find-epsilon", "--out", str(tmp_path / "find"), "--ratio", "0.67"],
+            ["simulate", "--out", str(tmp_path / "simulate"),
+             "--lumping", str(tmp_path / "lump" / "L.json")],
+            ["sweep", "--out", str(tmp_path / "sweep"), "--grid", "50"],
+        ):
+            assert run([*argv, "--model", path, "--seed", "0"]) == 0
+        assert capsys.readouterr().err == ""
+        artifacts = sorted(tmp_path.rglob("*.json"))
+        assert len(artifacts) == 9  # lump 3, find 3, simulate 2, sweep 1
+        for artifact in artifacts:
+            read_strict_json(artifact)
+        # the growth factor saturates to inf on both rational models
+        bound = read_json(tmp_path / "simulate" / "report.json")["bound"]
+        assert (bound is None) == model.startswith("rational3")
 
 
 class TestParser:

@@ -240,6 +240,33 @@ class TestExactLumping:
         assert lump.provenance[1].distance == pytest.approx(distance, rel=1e-15)
         assert lump.valid_for == (0.0, lump.provenance[1].distance)
         assert lk.epsilon_max(basis, system.observables) == lump.provenance[1].distance
+        # the top interval [epsilon_max, inf) is the single tolerance inf when
+        # epsilon_max is inf
+        top = lk.approximate_lump(basis, system.observables, math.inf)
+        assert top.valid_for == (lump.provenance[1].distance, math.inf)
+
+    @pytest.mark.parametrize(
+        "variables, observable, distance",
+        [("a, b", "a + b", math.inf), ("a, b, d", "a + b - d", 1.7e308 / math.sqrt(3))],
+        ids=["past_float_range", "cancels_back"],
+    )
+    def test_products_past_the_float_range_append(self, variables, observable, distance):
+        # the observable row r times J overflows in the product itself, so the
+        # image is taken again from J at its own power-of-two scale; its true
+        # norm is inf, or back in range where the sum cancels
+        names = [*variables.split(", "), "c"]
+        system = lk.parse_model(
+            f"model edge\nvar {variables}, c\n"
+            + "".join(f"eq {n} = 1.7e308*c\n" for n in names[:-1])
+            + "eq c = c\n" + "".join(f"init {n} = 1\n" for n in names)
+            + f"obs {observable}\nhorizon 1\n"
+        )
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system))
+        lump = lk.approximate_lump(basis, system.observables, 0.1)
+        assert lump.dim == 2
+        np.testing.assert_array_equal(lump.matrix[1], np.eye(len(names))[-1])
+        assert lump.provenance[1].distance == pytest.approx(distance, rel=1e-15)
+        assert lump.valid_for == (0.0, lump.provenance[1].distance)
 
     @pytest.mark.parametrize("power", [600, -550], ids=["huge", "tiny"])
     def test_power_of_two_scale_keeps_decisions(self, power):
