@@ -78,7 +78,9 @@ def _build_parser() -> _Parser:
 
     p_find = sub.add_parser("find-epsilon", help="bisect for a target size", parents=[sampling])
     p_find.add_argument("--ratio", type=float, required=True, help="target size / m")
-    p_find.add_argument("--d-min", type=float, default=1e-6)
+    p_find.add_argument(
+        "--d-min", type=float, default=1e-6, help="absolute bracket width that ends the search"
+    )
 
     p_sim = sub.add_parser(
         "simulate", help="integrate, optionally against a reduction", parents=[common]

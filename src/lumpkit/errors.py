@@ -48,12 +48,13 @@ class SamplingError(LumpkitError):
 
 
 class RankDeficiencyError(LumpkitError):
-    """A matrix that must have full row rank does not."""
+    """A matrix that must have full row rank does not, or the rows given to
+    ``LumpingMatrix`` are not orthonormal."""
 
 
 class PseudoinverseError(LumpkitError):
-    """A claimed pseudoinverse pair failed the L @ Lbar = I check, or rows
-    that must be orthonormal are not."""
+    """``build_reduced_drift`` found L @ Lbar != I, with Lbar defaulting to
+    the transpose of L."""
 
 
 class DimensionMismatchError(LumpkitError):
@@ -67,10 +68,6 @@ class IntegrationError(LumpkitError):
     def __init__(self, message: str, time_reached: float | None = None):
         self.time_reached = time_reached
         super().__init__(message)
-
-
-class ConvergenceError(LumpkitError):
-    """An iterative search exceeded its iteration budget."""
 
 
 class MonotonicityError(LumpkitError):

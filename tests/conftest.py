@@ -155,6 +155,16 @@ def random_polynomial_model(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def scaled_chain(c1: str, c2: str) -> str:
+    """a' = c1*b, b' = c2*c, c' = -c, observing a: one constant Jacobian,
+    whose sweep appends b at any tolerance below c1 and c at any below c2,
+    so epsilon_max is c1 and 2 rows fit from c2 up."""
+    return (
+        f"model chain\nvar a, b, c\neq a = {c1}*b\neq b = {c2}*c\neq c = -c\n"
+        "init a = 1\ninit b = 1\ninit c = 1\nobs a\nhorizon 1\n"
+    )
+
+
 def phosphorylation_model(n: int, delta: float = 0.0, seed: int = 0) -> str:
     """Model text for multisite phosphorylation at n sites (Feret et al.,
     PNAS 2009): the 2^n phosphoforms p<S>, bit i of S set when site i is

@@ -8,7 +8,6 @@ both in the test report and in the acceptance listing.
 import json
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +110,7 @@ def test_criterion_3_sweep_golden(worked_basis):
 
 def test_criterion_4_exactness(rational3, reference_lump):
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = lk.reduction_report(
-            rational3, reference_lump, config=lk.SolverConfig(rel_tol=1e-8)
-        )
+    report = lk.reduction_report(rational3, reference_lump, config=lk.SolverConfig(rel_tol=1e-8))
     elapsed = time.perf_counter() - t0
 
     ok = report.e_max <= 1e-6 and elapsed < 5.0
@@ -131,9 +126,7 @@ def test_criterion_4_exactness(rational3, reference_lump):
 
 def test_criterion_5_deviation_bound(rational3_perturbed, reference_lump):
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = lk.reduction_report(rational3_perturbed, reference_lump)
+    report = lk.reduction_report(rational3_perturbed, reference_lump)
     elapsed = time.perf_counter() - t0
 
     dominated = bool(np.all(report.errors <= report.bound)) and report.bound_satisfied
@@ -297,12 +290,6 @@ def test_criterion_8_property_suite(
     assert elapsed < 60.0
 
 
-def _run_cli(argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert cli_main(argv) == 0
-
-
 def _same_artifacts(dir_a: Path, dir_b: Path) -> bool:
     names = sorted(p.name for p in dir_a.iterdir())
     if names != sorted(p.name for p in dir_b.iterdir()):
@@ -348,8 +335,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     for name, argv in commands.items():
         dir_a = tmp_path / f"{name}-a"
         dir_b = tmp_path / f"{name}-b"
-        _run_cli(argv + ["--out", str(dir_a)])
-        _run_cli(argv + ["--out", str(dir_b)])
+        assert cli_main(argv + ["--out", str(dir_a)]) == 0
+        assert cli_main(argv + ["--out", str(dir_b)]) == 0
         if not _same_artifacts(dir_a, dir_b):
             mismatched.append(name)
 

@@ -14,7 +14,7 @@ import lumpkit as lk
 from lumpkit.cli import _build_parser, main
 from lumpkit.errors import MonotonicityError
 
-from conftest import DEEP_NESTING, NON_FINITE
+from conftest import DEEP_NESTING, NON_FINITE, scaled_chain
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 RATIONAL3 = str(MODELS / "rational3.ode")
@@ -286,6 +286,14 @@ class TestFindEpsilon:
         lump = read_json(out / "L.json")
         assert lump["rows"] == search["reduced_size"]
         assert "epsilon:" in capsys.readouterr().out
+
+    def test_badly_scaled_bracket_is_searched_to_the_end(self, tmp_path, capsys):
+        model = tmp_path / "chain.ode"
+        model.write_text(scaled_chain("1e70", "0.001"))
+        code = run(["find-epsilon", "--model", str(model), "--out", str(tmp_path / "out"),
+                    "--ratio", "0.67"])
+        assert code == 0
+        assert "iterations: 253\n" in capsys.readouterr().out
 
     def test_cutoff_below_observable_rank(self, tmp_path, capsys):
         out = tmp_path / "out"

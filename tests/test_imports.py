@@ -45,11 +45,20 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os (line 2)", "c (line 3)"]
 
 
+def unused_imports_under(directory: Path) -> dict[str, list[str]]:
+    """:func:`unused_imports` of each module in ``directory`` that has any."""
+    paths = sorted(directory.glob("*.py"))
+    assert paths, f"no modules found under {directory}"
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in paths}
+    return {name: found for name, found in unused.items() if found}
+
+
 def test_no_unused_imports_in_package():
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths, f"no modules found under {PACKAGE}"
-    unused = {path.name: unused_imports(path.read_text()) for path in paths}
-    assert {name: found for name, found in unused.items() if found} == {}
+    assert unused_imports_under(PACKAGE) == {}
+
+
+def test_no_unused_imports_in_tests():
+    assert unused_imports_under(Path(__file__).resolve().parent) == {}
 
 
 def private_imports(source: str) -> list[str]:

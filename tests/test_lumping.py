@@ -10,7 +10,6 @@ import pytest
 
 import lumpkit as lk
 from lumpkit.errors import (
-    ConvergenceError,
     DimensionMismatchError,
     EvaluationError,
     MonotonicityError,
@@ -23,6 +22,7 @@ from conftest import (
     benchmark_workloads,
     model_path,
     phosphorylation_model,
+    scaled_chain,
     sweep_fixpoint_holds,
 )
 
@@ -494,23 +494,42 @@ class TestFindEpsilon:
     def test_bracket_below_float_resolution_ends_the_search(self, rational3_perturbed):
         system = rational3_perturbed
         basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0, confirmations=3))
-        config = lk.EpsilonSearchConfig(cutoff_size=2, d_min=5e-324, max_iterations=5000)
+        config = lk.EpsilonSearchConfig(cutoff_size=2, d_min=5e-324)
         result = lk.find_epsilon(basis, system.observables, config)
         # the 61st midpoint rounds onto an end of a bracket of adjacent floats
         assert result.iterations == 61 == len(result.history) + 1
         lo = max((step.epsilon for step in result.history if step.size > 2), default=0.0)
         assert np.nextafter(lo, math.inf) == result.epsilon
 
+    def test_badly_scaled_bracket_is_searched_to_the_end(self):
+        # the bracket [0, 1e70] takes 253 halvings at d_min 1e-6
+        system = lk.parse_model(scaled_chain("1e70", "0.001"))
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        result = lk.find_epsilon(basis, system.observables, lk.EpsilonSearchConfig(cutoff_size=2))
+        assert result.iterations == 253 == len(result.history)
+        assert result.epsilon == 0.0010004137654221405
+        assert result.lump.dim == 2
+
+    @pytest.mark.parametrize("c1, c2", [("1e70", "1e-3"), ("1e300", "1e-3"), ("1e300", "1e-300")])
+    @pytest.mark.parametrize("d_min", [1e-6, 5e-324])
+    def test_bisection_ends_by_its_bracket(self, c1, c2, d_min):
+        system = lk.parse_model(scaled_chain(c1, c2))
+        basis = lk.sample_jacobian_basis(system, lk.default_domain(system, seed=0))
+        result = lk.find_epsilon(basis, system.observables, lk.EpsilonSearchConfig(2, d_min))
+        assert result.lump.dim <= 2
+        # a difference of logs: epsilon_max / 5e-324 overflows
+        halvings = math.log2(lk.epsilon_max(basis, system.observables)) - math.log2(d_min)
+        assert result.iterations <= math.ceil(halvings) + 1
+        assert result.iterations <= 2100
+        if d_min == 5e-324:
+            below = lk.approximate_lump(basis, system.observables, np.nextafter(result.epsilon, 0))
+            assert below.dim > 2
+
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
     def test_dependent_observable_rows_rejected(self, worked_basis, cutoff):
         config = lk.EpsilonSearchConfig(cutoff_size=cutoff)
         with pytest.raises(RankDeficiencyError, match="row 1"):
             lk.find_epsilon(worked_basis, np.vstack([OBS_X1, 2 * OBS_X1]), config)
-
-    def test_iteration_cap(self, worked_basis):
-        config = lk.EpsilonSearchConfig(cutoff_size=2, d_min=1e-12, max_iterations=3)
-        with pytest.raises(ConvergenceError):
-            lk.find_epsilon(worked_basis, OBS_X1, config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -520,8 +539,6 @@ class TestFindEpsilon:
                 lk.EpsilonSearchConfig(cutoff_size=cutoff)
         with pytest.raises(ValueError):
             lk.EpsilonSearchConfig(cutoff_size=1, d_min=0.0)
-        with pytest.raises(ValueError):
-            lk.EpsilonSearchConfig(cutoff_size=1, max_iterations=0)
 
     @pytest.mark.parametrize(
         "name, cutoff", [("rational3", 1), ("rational3_perturbed", 2), ("poly4", 3)]
