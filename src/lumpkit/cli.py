@@ -166,13 +166,14 @@ def _load_points(path: str | None):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _start(args, sample: bool = True, points: str | None = None):
+def _start(args):
     """The preamble every command shares: resolve the seed, create ``--out``,
-    start the phase clock and parse the model; with ``sample``, also sample
-    the Jacobian basis (seeded by ``points`` first, if given).
+    start the phase clock and parse the model; for the commands that take
+    ``--confirmations``, also sample the Jacobian basis (seeded by the
+    ``--points`` of ``lump`` first, if given).
 
-    Returns ``(seed, out, phases, system, basis)``; ``basis`` is None
-    without ``sample``."""
+    Returns ``(seed, out, phases, system, basis)``; ``basis`` is None for
+    ``simulate``."""
     seed = _resolve_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,11 +181,11 @@ def _start(args, sample: bool = True, points: str | None = None):
 
     system = parse_model(Path(args.model).read_text(encoding="utf-8"))
     phases.mark("parse")
-    if not sample:
+    if "confirmations" not in args:
         return seed, out, phases, system, None
 
     domain = default_domain(system, seed=seed, confirmations=args.confirmations)
-    basis = sample_jacobian_basis(system, domain, _load_points(points))
+    basis = sample_jacobian_basis(system, domain, _load_points(vars(args).get("points")))
     phases.mark("basis")
     return seed, out, phases, system, basis
 
@@ -192,7 +193,7 @@ def _start(args, sample: bool = True, points: str | None = None):
 def _cmd_lump(args) -> int:
     if not 0 <= args.epsilon < math.inf:
         raise _UsageError("--epsilon must be non-negative and finite")
-    seed, out, phases, system, basis = _start(args, points=args.points)
+    seed, out, phases, system, basis = _start(args)
 
     lump = approximate_lump(basis, system.observables, args.epsilon)
     eps_mx = epsilon_max(basis, system.observables)
@@ -270,7 +271,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--rel-tol and --abs-tol must be positive and finite")
     if args.horizon is not None and not (0 < args.horizon < math.inf):
         raise _UsageError("--horizon must be positive and finite")
-    seed, out, phases, system, _ = _start(args, sample=False)
+    seed, out, phases, system, _ = _start(args)
     config = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     horizon = system.time_horizon if args.horizon is None else args.horizon
 

@@ -46,17 +46,15 @@ __all__ = [
 class SamplingDomain:
     """Axis-aligned box to draw sample points from, plus sampling knobs.
 
-    ``confirmations`` is the number of consecutive dependent samples required
-    before the basis is declared complete. ``max_resamples`` bounds the run of
-    consecutive singular evaluations tolerated before giving up, for the
-    basis and for the Lipschitz estimate alike (default 100 * m, resolved by
-    :func:`sample_jacobians`).
+    The bounds are finite, with lower < upper and a finite width in every
+    coordinate. ``seed`` is an integer in [0, 2^64) seeding the PCG64 stream,
+    and ``confirmations``, a whole number, is the number of consecutive
+    dependent samples required before the basis is declared complete.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     seed: int = 0
-    max_resamples: int | None = None
     confirmations: int = 3
 
     __eq__ = equal_values
@@ -66,14 +64,14 @@ class SamplingDomain:
         object.__setattr__(self, "upper", read_only(self.upper))
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise DimensionMismatchError("domain bounds must be vectors of equal length")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("domain requires lower < upper in every coordinate")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.max_resamples is not None and self.max_resamples < 1:
-            raise ValueError("max_resamples must be positive")
-        if self.confirmations < 1:
-            raise ValueError("confirmations must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan widths fail below
+            width = self.upper - self.lower
+        if not np.all((0 < width) & (width < np.inf)):
+            raise ValueError("domain requires lower < upper and a finite width in every coordinate")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+            raise ValueError("seed must be an integer in [0, 2^64)")
+        if not (self.confirmations >= 1 and float(self.confirmations).is_integer()):
+            raise ValueError("confirmations must be a positive whole number")
 
     @property
     def dim(self) -> int:
@@ -204,14 +202,13 @@ def sample_jacobians(system: OdeSystem, domain: SamplingDomain, block_size, eval
     ``evaluate``, :func:`~lumpkit.model.evaluate_drift_dual` as the calling
     module names it (so whatever wraps that name there sees each call); a
     block that raises is evaluated again point by point. Points where the
-    drift is singular or f or J is non-finite are skipped; more than
-    ``domain.max_resamples`` in a row (default 100 * m) raise
-    :class:`~lumpkit.errors.SamplingError`. The pairs and the skips are those
-    of one draw and one evaluation per point."""
+    drift is singular or f or J is non-finite are skipped; more than 100 * m
+    in a row raise :class:`~lumpkit.errors.SamplingError`. The pairs and the
+    skips are those of one draw and one evaluation per point."""
     m = system.dim
     if domain.dim != m:
         raise DimensionMismatchError("domain dimension does not match the system")
-    limit = domain.max_resamples if domain.max_resamples is not None else 100 * m
+    limit = 100 * m
     rng = np.random.Generator(np.random.PCG64(domain.seed))
     queue = deque(np.asarray(x, dtype=float) for x in points)
     for i, x in enumerate(queue):

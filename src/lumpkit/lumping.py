@@ -121,11 +121,11 @@ class LumpingMatrix:
             raise DimensionMismatchError("one provenance entry per row required")
 
     @classmethod
-    def from_rows(cls, rows, epsilon: float = 0.0, observable_rank: int | None = None):
-        """Orthonormalize arbitrary full-row-rank rows into a LumpingMatrix."""
+    def from_rows(cls, rows, observable_rank: int | None = None):
+        """Orthonormalize full-row-rank rows into a LumpingMatrix of tolerance 0."""
         L = orthonormalize_rows(rows)
         p = L.shape[0] if observable_rank is None else observable_rank
-        return cls(matrix=L, epsilon=epsilon, observable_rank=p)
+        return cls(matrix=L, epsilon=0.0, observable_rank=p)
 
     @property
     def dim(self) -> int:

@@ -81,26 +81,18 @@ _MIN_RELATIVE_STEP = 16 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Adaptive step control settings. ``initial_step=None`` picks the first
-    step automatically from the local derivative scale."""
+    """Adaptive step control: error tolerances and a whole budget of step
+    attempts. The first step comes from the local derivative scale."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    initial_step: float | None = None
-    max_step: float = math.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.initial_step is not None and not (self.initial_step > 0):
-            raise ValueError("initial_step must be positive")
-        if not (self.max_step > 0):
-            raise ValueError("max_step must be positive")
-        if self.initial_step is not None and self.initial_step > self.max_step:
-            raise ValueError("initial_step must not exceed max_step")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        if not (self.max_steps >= 1 and float(self.max_steps).is_integer()):
+            raise ValueError("max_steps must be a positive whole number")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +188,7 @@ def _initial_step(drift, y0, f0, horizon, cfg: SolverConfig) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, cfg.max_step, horizon)
+    return min(100 * h0, h1, horizon)
 
 
 def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None = None) -> Trajectory:
@@ -224,8 +216,7 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
             f"non-finite start at t=0: state={y.tolist()}, drift={f_cur.tolist()}",
             time_reached=t,
         )
-    h = cfg.initial_step if cfg.initial_step is not None else _initial_step(drift, y, f_cur, horizon, cfg)
-    h = min(h, cfg.max_step, horizon)
+    h = _initial_step(drift, y, f_cur, horizon, cfg)
 
     times = [0.0]
     states = [y]
@@ -280,7 +271,7 @@ def integrate(drift: Callable, x0, horizon: float, config: SolverConfig | None =
         else:
             factor = max(_MIN_FACTOR, _SAFETY * err**-0.2)
             rejected_streak += 1
-        h = min(h * factor, cfg.max_step)
+        h *= factor
 
     return Trajectory(times=times, states=states, steps=steps, stages=stage_log)
 
@@ -339,13 +330,14 @@ def estimate_lipschitz(
     times a 1.1 safety factor. The Jacobians are the first ``n_samples`` that
     :func:`~lumpkit.jacobian.sample_jacobians` yields for ``domain``: the
     points of the seeded stream Jacobian sampling draws, with singular and
-    non-finite ones skipped under the same ``max_resamples`` limit and
+    non-finite ones skipped under the same failure limit and
     :class:`~lumpkit.errors.SamplingError`. They come in blocks of the
     ``n_samples - yielded`` points still missing, and their spectral norms are
     taken in one stacked call; this gives the bits of one draw, one
     evaluation and one norm per point."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if not (n_samples >= 1 and float(n_samples).is_integer()):
+        raise ValueError("n_samples must be a positive whole number")
+    n_samples = int(n_samples)
     samples = sample_jacobians(
         system, domain, lambda yielded: n_samples - yielded, evaluate_drift_dual
     )
@@ -405,8 +397,8 @@ def reduction_report(
     seed: int = 0,
 ) -> ReductionReport:
     """Integrate the original and the reduced system and report the error
-    e(t) = ||y(t) - L x(t)|| on a shared grid of at least 200 points, from
-    the first initial condition x0.
+    e(t) = ||y(t) - L x(t)|| on a shared grid of ``grid_points`` points, a
+    whole number of at least 200, from the first initial condition x0.
 
     The Lipschitz constant is estimated over the bounding box of the original
     trajectory and its projection onto rsp(L). e(0) is zero by construction
@@ -414,8 +406,8 @@ def reduction_report(
     """
     if lump.state_dim != system.dim:
         raise DimensionMismatchError("lumping matrix does not match the system")
-    if grid_points < 200:
-        raise ValueError("grid_points must be at least 200")
+    if not (grid_points >= 200 and float(grid_points).is_integer()):
+        raise ValueError("grid_points must be a whole number of at least 200")
     x0 = system.initial_conditions[0]
     T = system.time_horizon if horizon is None else float(horizon)
     L = lump.matrix
@@ -424,7 +416,7 @@ def reduction_report(
     reduced_drift = build_reduced_drift(system, L)
     reduced = integrate(reduced_drift, L @ x0, T, config)
 
-    ts = np.linspace(0.0, T, grid_points)
+    ts = np.linspace(0.0, T, int(grid_points))
     X = full.sample(ts)
     Y = reduced.sample(ts)
     errors = np.linalg.norm(Y - X @ L.T, axis=1)

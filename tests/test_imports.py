@@ -3,10 +3,14 @@
 import ast
 import dataclasses
 import importlib
+import math
 import pkgutil
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import lumpkit
 from lumpkit.model import DualVector, equal_values
@@ -154,3 +158,25 @@ def test_rank_test_names_are_the_model_module_objects():
     assert not hasattr(lumping, "ZERO_EPSILON_RTOL")
     assert "RANK_RTOL" in jacobian.__all__
     assert lumpkit.orthonormalize_rows is lumping.orthonormalize_rows is model.orthonormalize_rows
+
+
+# the settings types, each with the fewest arguments it is valid with
+SETTINGS = {
+    lumpkit.SamplingDomain: dict(lower=np.zeros(2), upper=np.ones(2)),
+    lumpkit.SolverConfig: {},
+    lumpkit.EpsilonSearchConfig: dict(cutoff_size=1),
+}
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [(settings, field) for settings in SETTINGS for field in dataclasses.fields(settings)],
+    ids=lambda value: getattr(value, "__name__", None) or value.name,
+)
+def test_every_setting_rejects_nan(settings, field):
+    # a setting added without a check of its own turns this red
+    valid = SETTINGS[settings]
+    settings(**valid)
+    nan = np.full(2, math.nan) if "ndarray" in str(field.type) else math.nan
+    with pytest.raises(ValueError):
+        settings(**{**valid, field.name: nan})

@@ -1,5 +1,6 @@
 """Jacobian sampling, the incremental rank test, and span membership."""
 
+import math
 import warnings
 from collections import deque
 
@@ -18,7 +19,7 @@ def per_point_basis(system, domain, initial_points=()):
     """Test-only oracle: the sampler with one draw and one dual evaluation
     per point."""
     m = system.dim
-    limit = domain.max_resamples if domain.max_resamples is not None else 100 * m
+    limit = 100 * m
     rng = np.random.Generator(np.random.PCG64(domain.seed))
     queue = deque(np.asarray(x, dtype=float) for x in initial_points)
 
@@ -173,10 +174,8 @@ class TestSampling:
             "model sing\nvar a, b\neq a = 1/(a - a)\neq b = a\n"
             "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
         )
-        domain = lk.SamplingDomain(
-            lower=np.zeros(2), upper=np.ones(2), max_resamples=5
-        )
-        with pytest.raises(SamplingError):
+        domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2))
+        with pytest.raises(SamplingError, match="^201 consecutive singular samples"):
             lk.sample_jacobian_basis(system, domain)
 
     def test_domain_dimension_mismatch(self, rational3):
@@ -354,26 +353,24 @@ class TestBlockSampling:
         assert not any(np.array_equal(x, initial[0]) for x in basis.sample_points)
 
     def test_singular_runs_are_counted_across_blocks(self):
-        # about 70% of [0, 20] x [0, 1] is singular, so runs of singular
-        # draws often span blocks of m = 2; the run that exceeds
-        # max_resamples must be the one point-by-point sampling counts
+        # a^400 or its derivative overflows above a ~ 5.84, so about 99% of
+        # [0, 584] x [0, 1] is singular and runs of singular draws span many
+        # blocks of m = 2; the run that exceeds the limit of 100 * m must be
+        # the one point-by-point sampling counts
         system = lk.parse_model(BIG_POWER)
         outcomes = set()
-        for limit in range(1, 7):
-            for seed in range(10):
-                domain = lk.SamplingDomain(
-                    lower=[0.0, 0.0], upper=[20.0, 1.0], seed=seed, max_resamples=limit
-                )
-                try:
-                    expected = per_point_basis(system, domain)
-                except SamplingError as exc:
-                    expected = str(exc)
-                try:
-                    got = lk.sample_jacobian_basis(system, domain)
-                except SamplingError as exc:
-                    got = str(exc).split(";")[0]
-                assert got == expected
-                outcomes.add(isinstance(got, str))
+        for seed in range(20):
+            domain = lk.SamplingDomain(lower=[0.0, 0.0], upper=[584.0, 1.0], seed=seed)
+            try:
+                expected = per_point_basis(system, domain)
+            except SamplingError as exc:
+                expected = str(exc)
+            try:
+                got = lk.sample_jacobian_basis(system, domain)
+            except SamplingError as exc:
+                got = str(exc).split(";")[0]
+            assert got == expected
+            outcomes.add(isinstance(got, str))
         assert outcomes == {True, False}
 
 
@@ -390,13 +387,31 @@ class TestSamplingDomain:
             (dict(lower=np.ones(2), upper=np.zeros(2)), ValueError),
             (dict(lower=np.zeros(2), upper=np.ones(2), seed=-1), ValueError),
             (dict(lower=np.zeros(2), upper=np.ones(2), confirmations=0), ValueError),
-            (dict(lower=np.zeros(2), upper=np.ones(2), max_resamples=0), ValueError),
             (dict(lower=np.zeros((2, 2)), upper=np.ones((2, 2))), DimensionMismatchError),
+            # these used to be accepted, and sampling then never returned
+            # (confirmations) or raised a TypeError or an OverflowError
+            (dict(lower=np.zeros(2), upper=np.ones(2), confirmations=2.5), ValueError),
+            (dict(lower=np.zeros(2), upper=np.ones(2), confirmations=math.nan), ValueError),
+            (dict(lower=np.zeros(2), upper=np.ones(2), confirmations=math.inf), ValueError),
+            (dict(lower=np.zeros(2), upper=np.ones(2), seed=1.5), ValueError),
+            (dict(lower=np.zeros(2), upper=np.ones(2), seed=3.0), ValueError),
+            (dict(lower=np.zeros(2), upper=np.ones(2), seed=2**64), ValueError),
+            (dict(lower=[-math.inf, 0.0], upper=np.ones(2)), ValueError),
+            (dict(lower=np.zeros(2), upper=[1.0, math.inf]), ValueError),
+            (dict(lower=[-1e308, 0.0], upper=[1e308, 1.0]), ValueError),
         ],
     )
     def test_validation(self, kwargs, exc):
         with pytest.raises(exc):
             lk.SamplingDomain(**kwargs)
+
+    def test_whole_settings_of_other_types(self, rational3):
+        # a whole float of confirmations and a numpy seed sample as their ints do
+        domain = lk.default_domain(rational3, seed=2)
+        basis = lk.sample_jacobian_basis(rational3, domain)
+        for seed, confirmations in ((np.uint64(2), 3), (np.int32(2), 3.0)):
+            other = lk.SamplingDomain(domain.lower, domain.upper, seed, confirmations)
+            assert lk.sample_jacobian_basis(rational3, other) == basis
 
     def test_equality_compares_arrays_by_value(self):
         domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2), seed=3)

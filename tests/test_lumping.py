@@ -1,6 +1,7 @@
 """Lumping sweep, tolerance extremes, and the size-targeted bisection."""
 
 import contextlib
+import dataclasses
 import math
 import warnings
 from operator import attrgetter
@@ -108,7 +109,8 @@ class TestLumpingMatrix:
         rows = np.eye(3)[:2]
         assert lk.LumpingMatrix.from_rows(rows) == lk.LumpingMatrix.from_rows(rows.copy())
         assert lk.LumpingMatrix.from_rows(rows) != lk.LumpingMatrix.from_rows(np.eye(3)[1:])
-        assert lk.LumpingMatrix.from_rows(rows) != lk.LumpingMatrix.from_rows(rows, epsilon=0.1)
+        lump = lk.LumpingMatrix.from_rows(rows)
+        assert lump.epsilon == 0.0 and lump != dataclasses.replace(lump, epsilon=0.1)
         first = lk.approximate_lump(worked_basis, OBS_X1, 0.2, record_trace=True)
         again = lk.approximate_lump(worked_basis, OBS_X1, 0.2, record_trace=True)
         assert first == again

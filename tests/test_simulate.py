@@ -35,7 +35,7 @@ def per_point_lipschitz(system, domain, n_samples):
     """Test-only oracle: the Lipschitz estimate with one draw and one dual
     evaluation per point."""
     rng = np.random.Generator(np.random.PCG64(domain.seed))
-    limit = domain.max_resamples if domain.max_resamples is not None else 100 * system.dim
+    limit = 100 * system.dim
     worst, collected, failures = 0.0, 0, 0
     while collected < n_samples:
         x = rng.uniform(domain.lower, domain.upper)
@@ -104,8 +104,7 @@ def reference_integrate(drift, x0, horizon, cfg):
     n = y.size
     t = 0.0
     f_cur = _call_drift(drift, y, t)
-    h = cfg.initial_step if cfg.initial_step is not None else _initial_step(drift, y, f_cur, horizon, cfg)
-    h = min(h, cfg.max_step, horizon)
+    h = _initial_step(drift, y, f_cur, horizon, cfg)
     times, states, segments = [0.0], [y.copy()], []
     stages = np.empty((7, n))
     rejected_streak = 0
@@ -138,7 +137,7 @@ def reference_integrate(drift, x0, horizon, cfg):
         else:
             factor = max(0.2, 0.9 * err**-0.2)
             rejected_streak += 1
-        h = min(h * factor, cfg.max_step)
+        h *= factor
     return np.array(times), np.vstack(states), segments
 
 
@@ -255,16 +254,20 @@ class TestIntegrate:
         assert 0.9 < exc_info.value.time_reached < 1.2
 
     def test_final_sliver_is_no_underflow(self):
-        # steps of 0.025 leave a last step of about 3e-15 before t = 2, below
-        # the underflow threshold, but a step that lands on the horizon ends the run
+        # a horizon 3e-15 past a step boundary leaves a last step below the
+        # underflow threshold, but a step that lands on the horizon ends the run
         system = lk.parse_model(
             "model slow\nvar a, b\neq a = -0.001*a\neq b = a\n"
             "init a = 1\ninit b = 0\nobs b\nhorizon 2\n"
         )
-        config = lk.SolverConfig(max_step=0.025, initial_step=0.025)
         drift = lambda x: lk.evaluate_drift(system, x)
-        traj = lk.integrate(drift, system.initial_conditions[0], 2.0, config)
-        assert traj.times[-1] == 2.0 and traj.steps[-1] < 1e-14
+        boundaries = lk.integrate(drift, system.initial_conditions[0], 2.0).times
+        k = len(boundaries) - 2
+        horizon = boundaries[k] + 3e-15
+        traj = lk.integrate(drift, system.initial_conditions[0], horizon)
+        assert traj.times[:-1].tobytes() == boundaries[: k + 1].tobytes()
+        assert traj.times[-1] == horizon
+        assert traj.steps[-1] <= 16 * np.finfo(float).eps * max(boundaries[k], 1.0)
 
     @pytest.mark.parametrize("horizon", [2e-16, 1e-15, 3.5e-15])
     def test_horizon_below_underflow_threshold(self, rational3, horizon):
@@ -334,22 +337,26 @@ class TestIntegrate:
         assert str(exc_info.value).startswith(f"drift evaluation failed at t={time_reached!r}, ")
 
     def test_fsal_stage_failure_reports_the_end_of_the_step(self):
-        # with a given first step there is no probe: call 1 is f(x0) and calls
-        # 2-7 are the stages of the first step, the last at (t+h, y_new)
+        # calls 1 and 2 are f(x0) and the initial step probe, and calls 3-8
+        # are the stages of the first step, the last at (t+h, y_new)
         calls = []
 
         def drift(y):
             calls.append(y)
-            if len(calls) == 7:
+            if len(calls) == 8:
                 raise EvaluationError("singular", component=0, point=y)
             return -y
 
         with pytest.raises(IntegrationError) as exc_info:
-            lk.integrate(drift, np.array([1.0, 2.0]), 1.0, lk.SolverConfig(initial_step=0.1))
+            lk.integrate(drift, np.array([1.0, 2.0]), 1.0)
+        # the first step of the undisturbed run is accepted and ends there
+        undisturbed = lk.integrate(lambda y: -y, np.array([1.0, 2.0]), 1.0)
+        t = float(undisturbed.times[1])
         assert type(exc_info.value.time_reached) is float
-        assert exc_info.value.time_reached == 0.1
+        assert exc_info.value.time_reached == t
+        np.testing.assert_array_equal(calls[-1], undisturbed.states[1])
         assert str(exc_info.value) == (
-            f"drift evaluation failed at t=0.1, state={calls[-1].tolist()}: singular"
+            f"drift evaluation failed at t={t!r}, state={calls[-1].tolist()}: singular"
         )
 
     def test_wrong_length_at_a_later_stage(self):
@@ -372,12 +379,13 @@ class TestIntegrate:
             calls.append(y)
             return -y
 
-        # no step of this run is rejected
-        traj = lk.integrate(drift, np.array([1.0, 2.0]), 3.0, lk.SolverConfig(initial_step=0.1))
+        # no step of this run is rejected; f(x0) and the initial step probe
+        # come before the first step
+        traj = lk.integrate(drift, np.array([1.0, 2.0]), 3.0)
         assert len(traj.steps) > 5
-        assert len(calls) == 1 + 6 * len(traj.steps)
+        assert len(calls) == 2 + 6 * len(traj.steps)
         # the last call of each step evaluates the state the step ends at
-        np.testing.assert_array_equal(np.array(calls[6::6]), traj.states[1:])
+        np.testing.assert_array_equal(np.array(calls[7::6]), traj.states[1:])
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -404,10 +412,10 @@ class TestIntegrate:
         for kwargs in (
             dict(rel_tol=0.0),
             dict(abs_tol=-1.0),
-            dict(initial_step=0.0),
-            dict(max_step=0.0),
-            dict(initial_step=2.0, max_step=1.0),
             dict(max_steps=0),
+            dict(max_steps=2.5),
+            dict(max_steps=math.nan),
+            dict(max_steps=math.inf),
         ):
             with pytest.raises(ValueError):
                 lk.SolverConfig(**kwargs)
@@ -705,26 +713,23 @@ class TestEstimateLipschitz:
             assert lk.estimate_lipschitz(system, domain) == expected
 
     def test_singular_points_and_runs_across_blocks(self):
-        # a^400 or its derivative overflows above a ~ 5.84: about 70% of the
+        # a^400 or its derivative overflows above a ~ 5.84: about 99% of the
         # box is singular, so skipped points are replaced by further blocks
-        # and singular runs span them
+        # and singular runs span them, some past the limit of 100 * m
         system = lk.parse_model(BIG_POWER)
         outcomes = set()
-        for limit in (2, 3, 4, 5, 6, None):
-            for seed in range(6):
-                domain = lk.SamplingDomain(
-                    lower=[0.0, 0.0], upper=[20.0, 1.0], seed=seed, max_resamples=limit
-                )
-                try:
-                    expected = per_point_lipschitz(system, domain, 8)
-                except SamplingError:
-                    expected = "SamplingError"
-                try:
-                    got = lk.estimate_lipschitz(system, domain, 8)
-                except SamplingError:
-                    got = "SamplingError"
-                assert got == expected
-                outcomes.add(got == "SamplingError")
+        for seed in range(20):
+            domain = lk.SamplingDomain(lower=[0.0, 0.0], upper=[584.0, 1.0], seed=seed)
+            try:
+                expected = per_point_lipschitz(system, domain, 8)
+            except SamplingError:
+                expected = "SamplingError"
+            try:
+                got = lk.estimate_lipschitz(system, domain, 8)
+            except SamplingError:
+                got = "SamplingError"
+            assert got == expected
+            outcomes.add(got == "SamplingError")
         assert outcomes == {True, False}
 
     def test_overflowing_power_derivative_is_singular(self):
@@ -762,7 +767,7 @@ class TestEstimateLipschitz:
             "model s\nvar a, b\neq a = 1/(a - a)\neq b = a\n"
             "init a = 1\ninit b = 1\nobs a\nhorizon 1\n"
         )
-        domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2), max_resamples=5)
+        domain = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2))
         with pytest.raises(SamplingError) as lipschitz_error:
             lk.estimate_lipschitz(system, domain)
         # Jacobian basis sampling draws through the same sampler and gives up
@@ -770,15 +775,25 @@ class TestEstimateLipschitz:
         with pytest.raises(SamplingError) as basis_error:
             lk.sample_jacobian_basis(system, domain)
         assert str(lipschitz_error.value) == str(basis_error.value)
-        assert str(lipschitz_error.value).startswith("6 consecutive singular samples")
+        assert str(lipschitz_error.value).startswith("201 consecutive singular samples")
 
-    def test_validation(self, rational3):
+    def test_validation(self, monkeypatch, rational3):
+        # each is rejected before the first evaluation; 2.5, nan and inf
+        # used to reach numpy or islice
+        monkeypatch.setattr("lumpkit.simulate.evaluate_drift_dual", None)
         domain = lk.SamplingDomain(lower=np.zeros(3), upper=np.ones(3))
-        with pytest.raises(ValueError):
-            lk.estimate_lipschitz(rational3, domain, n_samples=0)
+        for n_samples in (0, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n_samples"):
+                lk.estimate_lipschitz(rational3, domain, n_samples=n_samples)
         bad = lk.SamplingDomain(lower=np.zeros(2), upper=np.ones(2))
         with pytest.raises(DimensionMismatchError):
             lk.estimate_lipschitz(rational3, bad)
+
+    def test_whole_float_sample_count(self, rational3):
+        domain = lk.default_domain(rational3, seed=1)
+        assert lk.estimate_lipschitz(rational3, domain, 8.0) == lk.estimate_lipschitz(
+            rational3, domain, 8
+        )
 
 
 @pytest.fixture(scope="module")
@@ -851,12 +866,21 @@ class TestReductionReport:
         assert report.bound == 0.0
         assert report.bound_satisfied
 
-    def test_validation(self, rational3, reference_lump):
-        with pytest.raises(ValueError):
-            lk.reduction_report(rational3, reference_lump, grid_points=100)
+    def test_validation(self, monkeypatch, rational3, reference_lump):
+        # each is rejected before either integration; 250.5, nan and inf
+        # used to pass the check and fail in np.linspace after both runs
+        monkeypatch.setattr("lumpkit.simulate.integrate", None)
+        for grid_points in (100, 250.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="grid_points"):
+                lk.reduction_report(rational3, reference_lump, grid_points=grid_points)
         wrong = lk.LumpingMatrix.from_rows(np.eye(4)[:2], observable_rank=1)
         with pytest.raises(DimensionMismatchError):
             lk.reduction_report(rational3, wrong)
+
+    def test_whole_float_grid_points(self, rational3_perturbed, reference_lump):
+        report = lk.reduction_report(rational3_perturbed, reference_lump, grid_points=250.0)
+        assert report.times.size == 250
+        assert report == lk.reduction_report(rational3_perturbed, reference_lump, grid_points=250)
 
 
 class TestCsvWriter:
