@@ -276,7 +276,7 @@ def _cmd_simulate(args) -> int:
     horizon = system.time_horizon if args.horizon is None else args.horizon
 
     if args.lumping is None:
-        x0 = system.initial_conditions[0]
+        x0 = system.initial_condition
         trajectory = integrate(lambda x: evaluate_drift(system, x), x0, horizon, config)
         ts = np.linspace(0.0, horizon, args.grid)
         X = trajectory.sample(ts)

@@ -42,6 +42,13 @@ __all__ = [
     "membership_residual",
 ]
 
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, 2^64), a PCG64 seed."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
+        raise ValueError("seed must be an integer in [0, 2^64)")
+
+
 @dataclass(frozen=True, eq=False)
 class SamplingDomain:
     """Axis-aligned box to draw sample points from, plus sampling knobs.
@@ -68,8 +75,7 @@ class SamplingDomain:
             width = self.upper - self.lower
         if not np.all((0 < width) & (width < np.inf)):
             raise ValueError("domain requires lower < upper and a finite width in every coordinate")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must be an integer in [0, 2^64)")
+        check_seed(self.seed)
         if not (self.confirmations >= 1 and float(self.confirmations).is_integer()):
             raise ValueError("confirmations must be a positive whole number")
 
@@ -79,10 +85,8 @@ class SamplingDomain:
 
 
 def default_domain(system: OdeSystem, seed: int = 0, confirmations: int = 3) -> SamplingDomain:
-    """The box [0, max(1, 2 max_i |x0_i|)]^m around the first initial
-    condition."""
-    x0 = system.initial_conditions[0]
-    hi = max(1.0, 2.0 * float(np.max(np.abs(x0))))
+    """The box [0, max(1, 2 max_i |x0_i|)]^m around the initial condition x0."""
+    hi = max(1.0, 2.0 * float(np.max(np.abs(system.initial_condition))))
     return SamplingDomain(
         lower=np.zeros(system.dim),
         upper=np.full(system.dim, hi),

@@ -1,8 +1,8 @@
 """ODE models with polynomial or rational drifts.
 
-A model is a system x' = f(x) together with one or more initial conditions,
-a linear observable matrix M, and a time horizon. Drift components are stored
-as expression trees, and every reader of a tree loops over its postfix list
+A model is a system x' = f(x) together with one initial condition, a linear
+observable matrix M, and a time horizon. Drift components are stored as
+expression trees, and every reader of a tree loops over its postfix list
 (:func:`_postfix`), so a tree of any depth is read without recursion. Each
 system keeps the postfix program of each drift component, and :func:`_run`
 evaluates it on plain floats or on dual numbers, so Jacobians come out of
@@ -471,12 +471,13 @@ def orthonormalize_rows(matrix) -> np.ndarray:
 class OdeSystem:
     """An autonomous system x' = f(x) with linear observables x_obs = M x.
 
-    Invariants checked at construction: one drift expression and one initial
-    value per variable, finite drift constants and initial values, a positive
-    finite horizon, and a finite observable matrix with 1 <= p < m whose rows
-    pass :func:`orthonormalize_rows`, the rank test of every lumping. So rows
-    the sweep would reject, such as a and a + 1e-10 b, fail here, while tiny
-    independent rows, such as 1e-17 b beside a, are kept.
+    Invariants checked at construction: identifier names, distinct variable
+    names other than directives, one drift expression and one initial value
+    per variable, finite drift constants and initial values, int exponents of
+    at least 0, a positive finite horizon, and a finite observable matrix with
+    1 <= p < m whose rows pass :func:`orthonormalize_rows`, the rank test of
+    every lumping. So rows the sweep would reject, such as a and a + 1e-10 b,
+    fail here, while tiny independent rows, such as 1e-17 b beside a, are kept.
 
     Construction sets ``dim``, the state dimension, and keeps each drift
     tree's postfix program, and the first one-point :func:`evaluate_drift`
@@ -487,7 +488,7 @@ class OdeSystem:
     name: str
     var_names: tuple[str, ...]
     drift: tuple[Expression, ...]
-    initial_conditions: tuple[np.ndarray, ...]
+    initial_condition: np.ndarray
     time_horizon: float
     observables: np.ndarray
 
@@ -496,22 +497,27 @@ class OdeSystem:
     def __post_init__(self):
         object.__setattr__(self, "var_names", tuple(self.var_names))
         object.__setattr__(self, "drift", tuple(self.drift))
+        for name in (self.name, *self.var_names):
+            if not (isinstance(name, str) and _IDENTIFIER.fullmatch(name)):
+                raise ModelValidationError(f"name {name!r} is not an identifier")
         m = len(self.var_names)
+        if len(set(self.var_names)) != m or not _DIRECTIVES.isdisjoint(self.var_names):
+            raise ModelValidationError("variable names must be distinct and not directives")
         if len(self.drift) != m:
             raise ModelValidationError("one drift expression per variable required")
         object.__setattr__(self, "dim", m)
         object.__setattr__(self, "_programs", tuple(map(_postfix, self.drift)))
         for var, program in zip(self.var_names, self._programs):
-            if not all(math.isfinite(arg) for kind, arg in program if kind is Constant):
-                raise ModelValidationError(f"drift of {var} holds a constant that is not finite")
-        inits = tuple(map(read_only, self.initial_conditions))
-        if any(x0.shape != (m,) for x0 in inits):
+            for kind, arg in program:
+                if kind is Constant and not math.isfinite(arg):
+                    raise ModelValidationError(f"drift of {var} holds a constant that is not finite")
+                if kind is IntPow and not (type(arg) is int and arg >= 0):
+                    raise ModelValidationError(f"drift of {var} holds an invalid exponent {arg!r}")
+        object.__setattr__(self, "initial_condition", read_only(self.initial_condition))
+        if self.initial_condition.shape != (m,):
             raise ModelValidationError("initial condition has wrong dimension")
-        if not inits:
-            raise ModelValidationError("at least one initial condition required")
-        if not all(np.isfinite(x0).all() for x0 in inits):
+        if not np.isfinite(self.initial_condition).all():
             raise ModelValidationError("initial condition holds a value that is not finite")
-        object.__setattr__(self, "initial_conditions", inits)
         if not (0 < self.time_horizon < math.inf):
             raise ModelValidationError("time horizon must be positive and finite")
         M = np.atleast_2d(read_only(self.observables))
@@ -542,8 +548,7 @@ class OdeSystem:
         lines = [f"model {self.name}", "var " + ", ".join(self.var_names)]
         for name, expr in zip(self.var_names, self.drift):
             lines.append(f"eq {name} = {expression_to_text(expr, self.var_names)}")
-        x0 = self.initial_conditions[0]
-        for name, value in zip(self.var_names, x0):
+        for name, value in zip(self.var_names, self.initial_condition):
             lines.append(f"init {name} = {float(value)!r}")
         for row in self.observables:
             terms = []
@@ -658,10 +663,11 @@ def evaluate_drift_dual(system: OdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
 
 _DIRECTIVES = {"model", "var", "eq", "init", "obs", "horizon"}
 
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")  # a model or variable name
 _TOKEN_RE = re.compile(
     r"(?P<space>\s+)"
     r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_]\w*)"
+    rf"|(?P<ident>{_IDENTIFIER.pattern})"
     r"|(?P<op>[+\-*/^(),=])"
     r"|(?P<bad>\S)"
 )
@@ -836,9 +842,8 @@ def parse_model(text: str) -> OdeSystem:
         obs [=] <linear combination of variables>
         horizon <constant expression>
 
-    Every variable needs exactly one ``eq`` and one ``init`` line; there is a
-    single initial condition per file. Expressions use + - * / ^ ( ) with
-    numeric literals and declared variable names.
+    Every variable needs exactly one ``eq`` and one ``init`` line. Expressions
+    use + - * / ^ ( ) with numeric literals and declared variable names.
     """
     name: str | None = None
     var_names: list[str] = []
@@ -931,7 +936,7 @@ def parse_model(text: str) -> OdeSystem:
         name=name,
         var_names=tuple(var_names),
         drift=tuple(equations[v] for v in var_names),
-        initial_conditions=(np.array([inits[v] for v in var_names]),),
+        initial_condition=np.array([inits[v] for v in var_names]),
         time_horizon=horizon,
         observables=M,
     )

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError, IntegrationError, PseudoinverseError
-from .jacobian import SamplingDomain, sample_jacobians
+from .jacobian import SamplingDomain, check_seed, sample_jacobians
 from .lumping import LumpingMatrix, deviation
 from .model import OdeSystem, equal_values, evaluate_drift, evaluate_drift_dual, read_only
 
@@ -398,7 +398,7 @@ def reduction_report(
 ) -> ReductionReport:
     """Integrate the original and the reduced system and report the error
     e(t) = ||y(t) - L x(t)|| on a shared grid of ``grid_points`` points, a
-    whole number of at least 200, from the first initial condition x0.
+    whole number of at least 200, from the model's initial condition x0.
 
     The Lipschitz constant is estimated over the bounding box of the original
     trajectory and its projection onto rsp(L). e(0) is zero by construction
@@ -408,7 +408,8 @@ def reduction_report(
         raise DimensionMismatchError("lumping matrix does not match the system")
     if not (grid_points >= 200 and float(grid_points).is_integer()):
         raise ValueError("grid_points must be a whole number of at least 200")
-    x0 = system.initial_conditions[0]
+    check_seed(seed)  # the Lipschitz box takes it only after both integrations
+    x0 = system.initial_condition
     T = system.time_horizon if horizon is None else float(horizon)
     L = lump.matrix
 

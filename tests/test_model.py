@@ -5,6 +5,7 @@ import dataclasses
 import math
 import operator
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestParsing:
         assert rational3.dim == 3
         assert rational3.time_horizon == 1.75
         np.testing.assert_array_equal(rational3.observables, [[1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(rational3.initial_conditions[0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(rational3.initial_condition, [1.0, 1.0, 1.0])
 
     def test_observable_with_leading_equals(self):
         text = (
@@ -311,7 +312,7 @@ class TestParsing:
         assert poly4 != text
 
     def test_arrays_are_read_only(self, poly4):
-        for values in (*poly4.initial_conditions, poly4.observables):
+        for values in (poly4.initial_condition, poly4.observables):
             assert not values.flags.writeable
 
     @pytest.mark.parametrize(
@@ -488,14 +489,55 @@ class TestParsing:
         "field, value, message",
         [
             ("drift", (Variable(0),), "one drift expression per variable"),
-            ("initial_conditions", ([1.0, 1.0],), "initial condition has wrong dimension"),
-            ("initial_conditions", (), "at least one initial condition"),
+            ("initial_condition", [1.0, 1.0], "initial condition has wrong dimension"),
+            ("initial_condition", [], "initial condition has wrong dimension"),
             ("observables", [[1.0, 0.0]], "wrong column count"),
+            # exponents the parser cannot build: to_text would write x2 ^ -1
+            ("drift", (IntPow(Variable(1), -1),) * 3, "drift of x1 holds an invalid exponent -1"),
+            ("drift", (Variable(1), IntPow(Variable(0), 2.5), Variable(0)), "of x2 .* 2.5"),
+            ("drift", (Variable(1), Variable(2), IntPow(Variable(0), True)), "of x3 .* True"),
         ],
-        ids=["drift_count", "initial_shape", "no_initial", "observable_columns"],
+        ids=[
+            "drift_count",
+            "initial_shape",
+            "no_initial",
+            "observable_columns",
+            "negative_exponent",
+            "float_exponent",
+            "bool_exponent",
+        ],
     )
     def test_system_invariants(self, rational3, field, value, message):
         with pytest.raises(ModelValidationError, match=message):
+            dataclasses.replace(rational3, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("var_names", ("", "x2", "x3"), "name '' is not an identifier"),
+            ("var_names", ("1x", "x2", "x3"), "name '1x' is not an identifier"),
+            ("var_names", ("a b", "x2", "x3"), "name 'a b' is not an identifier"),
+            ("var_names", ("x1", "x1", "x3"), "must be distinct and not directives"),
+            ("var_names", ("eq", "x2", "x3"), "must be distinct and not directives"),
+            ("name", "my model", "name 'my model' is not an identifier"),
+            ("name", "", "name '' is not an identifier"),
+            ("name", "1m", "name '1m' is not an identifier"),
+        ],
+        ids=[
+            "empty_variable",
+            "digit_variable",
+            "spaced_variable",
+            "duplicate_variable",
+            "directive_variable",
+            "spaced_model",
+            "empty_model",
+            "digit_model",
+        ],
+    )
+    def test_names_the_text_cannot_carry_rejected(self, rational3, field, value, message):
+        # to_text would raise IndexError on the empty name and write text
+        # that parse_model rejects for the others
+        with pytest.raises(ModelValidationError, match=re.escape(message)):
             dataclasses.replace(rational3, **{field: value})
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -512,7 +554,7 @@ class TestParsing:
         # to_text would write "init x1 = inf", and sampling would start from it
         x0 = np.array([value, 0.5, 0.5])
         with pytest.raises(ModelValidationError, match="initial condition holds a value that is not finite"):
-            dataclasses.replace(rational3, initial_conditions=(x0,))
+            dataclasses.replace(rational3, initial_condition=x0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_observable_rejected(self, rational3, value):
@@ -567,7 +609,7 @@ class TestParsing:
     def test_init_and_horizon_fold_to_constants(self):
         text = variant("init a = 1", "init a = 2/3").replace("horizon 1", "horizon 2^2")
         system = lk.parse_model(text)
-        assert system.initial_conditions[0][0] == 2 / 3
+        assert system.initial_condition[0] == 2 / 3
         assert system.time_horizon == 4.0
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -1031,7 +1073,7 @@ class TestCompiledDrift:
             name="built",
             var_names=("a", "b"),
             drift=(Mul(Constant(np.float64(-1.5)), Variable(1)), Add(Variable(0), Constant(-0.0))),
-            initial_conditions=([1.0, 1.0],),
+            initial_condition=[1.0, 1.0],
             time_horizon=1.0,
             observables=[[1.0, 0.0]],
         )
@@ -1260,6 +1302,40 @@ def test_model_prints_and_writes_back_or_names_its_line(make, position):
         text = "RecursionError"
     assert text.startswith(f"OdeSystem(name={system.name!r}, ")
     assert lk.parse_model(system.to_text()) == system
+
+
+# "a" twice, so that a permutation's first three names may repeat one
+VARIABLE_NAMES = ["a", "b", "c", "d", "e", "_v", "xα", "x1", "a", "eq", "", "1x", "a b"]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["m", "model", "m_2", "xα", "_", "my model", "", "1m"]),
+    st.permutations(VARIABLE_NAMES),
+    st.sampled_from([-1, 0, 1, 2, 2.5, True]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+)
+def test_accepted_model_writes_back_as_text(name, names, k, x0):
+    """A model the type accepts, built in code, writes text that parses back
+    to it: its names, exponents and initial values all fit the grammar."""
+    var_names = names[:3]
+    a, b, c = map(Variable, range(3))
+    drift = (
+        Add(Mul(IntPow(b, k), a), c),  # eq a = b ^ k * a + c
+        Sub(a, Div(c, Constant(2.0))),
+        Neg(Mul(IntPow(a, 2), b)),
+    )
+    try:
+        system = lk.OdeSystem(name, var_names, drift, x0, 1.5, [[1.0, 0.0, 0.0], [0.0, -0.5, 1.0]])
+    except ModelValidationError:
+        return
+    parsed = lk.parse_model(system.to_text())
+    assert (parsed.name, parsed.var_names) == (system.name, system.var_names)
+    assert parsed.initial_condition.tobytes() == system.initial_condition.tobytes()
+    assert parsed.observables.tobytes() == system.observables.tobytes()
+    x = np.array([0.75, 1.25, -0.5])
+    assert lk.evaluate_drift(parsed, x).tobytes() == lk.evaluate_drift(system, x).tobytes()
+    assert parsed == system
 
 
 @pytest.mark.parametrize(

@@ -261,10 +261,10 @@ class TestIntegrate:
             "init a = 1\ninit b = 0\nobs b\nhorizon 2\n"
         )
         drift = lambda x: lk.evaluate_drift(system, x)
-        boundaries = lk.integrate(drift, system.initial_conditions[0], 2.0).times
+        boundaries = lk.integrate(drift, system.initial_condition, 2.0).times
         k = len(boundaries) - 2
         horizon = boundaries[k] + 3e-15
-        traj = lk.integrate(drift, system.initial_conditions[0], horizon)
+        traj = lk.integrate(drift, system.initial_condition, horizon)
         assert traj.times[:-1].tobytes() == boundaries[: k + 1].tobytes()
         assert traj.times[-1] == horizon
         assert traj.steps[-1] <= 16 * np.finfo(float).eps * max(boundaries[k], 1.0)
@@ -272,7 +272,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("horizon", [2e-16, 1e-15, 3.5e-15])
     def test_horizon_below_underflow_threshold(self, rational3, horizon):
         drift = lambda x: lk.evaluate_drift(rational3, x)
-        traj = lk.integrate(drift, rational3.initial_conditions[0], horizon)
+        traj = lk.integrate(drift, rational3.initial_condition, horizon)
         assert traj.times.tolist() == [0.0, horizon]
 
     def test_step_budget(self):
@@ -449,7 +449,7 @@ class TestStepLoopParity:
         underflows = 0
         for system in systems:
             drift = lambda x: lk.evaluate_drift(system, x)
-            x0, horizon = system.initial_conditions[0], system.time_horizon
+            x0, horizon = system.initial_condition, system.time_horizon
             try:
                 times, states, segments = reference_integrate(drift, x0, horizon, config)
             except IntegrationError as exc:
@@ -474,7 +474,7 @@ class TestStepLoopParity:
                 assert main(argv + ["--seed", str(seed), "--epsilon", "0.1"]) == 0
                 L = np.array(json.loads((out / "L.json").read_text())["matrix"])
                 drift = lk.build_reduced_drift(system, L)
-                x0, horizon = L @ system.initial_conditions[0], system.time_horizon
+                x0, horizon = L @ system.initial_condition, system.time_horizon
                 times, states, segments = reference_integrate(drift, x0, horizon, config)
                 traj = lk.integrate(drift, x0, horizon, config)
                 assert_same_steps(traj, times, states, segments)
@@ -514,7 +514,7 @@ class TestStageSums:
         config = lk.SolverConfig(rel_tol=1e-9, abs_tol=1e-12)
         for system, _ in self.systems_and_rows(rational3, rational3_perturbed, poly4):
             drift = lambda x: lk.evaluate_drift(system, x)
-            traj = lk.integrate(drift, system.initial_conditions[0], system.time_horizon, config)
+            traj = lk.integrate(drift, system.initial_condition, system.time_horizon, config)
             assert traj.steps.size > 10
             for k, (h, stages) in enumerate(zip(traj.steps, traj.stages)):
                 step = traj.states[k] + h * (stages[:6].T @ B5)
@@ -550,7 +550,7 @@ class TestDenseOutput:
         for system in systems:
             drift = lambda x: lk.evaluate_drift(system, x)
             T = system.time_horizon
-            traj = lk.integrate(drift, system.initial_conditions[0], T, config)
+            traj = lk.integrate(drift, system.initial_condition, T, config)
             grid = np.linspace(0.0, T, 200)
             unsorted = rng.uniform(0.0, T, 50)
             knots = traj.times[rng.integers(0, traj.times.size, 10)]
@@ -876,6 +876,22 @@ class TestReductionReport:
         wrong = lk.LumpingMatrix.from_rows(np.eye(4)[:2], observable_rank=1)
         with pytest.raises(DimensionMismatchError):
             lk.reduction_report(rational3, wrong)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_bad_seed_rejected_before_integrating(
+        self, monkeypatch, rational3_perturbed, reference_lump, seed
+    ):
+        calls = []
+        integrate = lk.simulate.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr("lumpkit.simulate.integrate", counting)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            lk.reduction_report(rational3_perturbed, reference_lump, seed=seed)
+        assert calls == []
 
     def test_whole_float_grid_points(self, rational3_perturbed, reference_lump):
         report = lk.reduction_report(rational3_perturbed, reference_lump, grid_points=250.0)
