@@ -13,23 +13,24 @@ one-point evaluation. Only f at one float point, the integrator's step loop,
 runs compiled code: the first such call compiles the programs to one function
 returning all m components as nested expressions (a temporary every 50
 levels of parentheses) that apply the operators in the order of :func:`_run`,
-so with its bits.
+so with its bits. The programs hold Python floats, written as literals.
 
 Models can be built programmatically or parsed from a small line-oriented
 text format, see :func:`parse_model`. ``init`` and ``horizon`` take constant
 expressions. ``^`` binds tighter than unary minus and associates to the left:
 -x^2 is -(x^2) and x^2^3 is (x^2)^3. Operators over constants fold as they
-are parsed, so a constant zero divisor or overflow (``1/0``, ``1e200*1e200``)
-is a syntax error, while ``b/0`` parses and fails at evaluation. A syntax
-error names the line, and the column when a token is at fault. Sums of any
-length parse; parentheses or unary minuses nested too deeply for Python's
-recursion limit are a syntax error.
+are parsed (a system built in code may hold none), so a constant zero divisor
+or overflow (``1/0``, ``1e200*1e200``) is a syntax error, while ``b/0``
+parses and fails at evaluation. A syntax error names the line, and the column
+when a token is at fault. Sums of any length parse; parentheses or unary
+minuses nested too deeply for Python's recursion limit are a syntax error.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, fields
@@ -188,8 +189,10 @@ class Expression:
 
     def evaluate(self, values):
         """Evaluate with ``values[i]`` bound to variable i. Works on floats
-        and on :class:`DualVector` alike. This tree walk is the reference
-        that the compiled drift of :func:`evaluate_drift` reproduces."""
+        and on :class:`DualVector` alike. This tree walk is the reference that
+        the compiled drift of :func:`evaluate_drift` reproduces, but with the
+        caller's constants: on numpy scalars it follows numpy's rules
+        (``b / np.float64(0.0)`` is inf) where every evaluator raises."""
         return _run(_postfix(self), values)
 
     def __eq__(self, other):
@@ -349,19 +352,15 @@ def expression_to_text(expr: Expression, var_names: Sequence[str]) -> str:
 _SPILL_HEIGHT = 50  # nested parentheses per temporary; CPython's parser allows 200
 
 
-def _nested_code(program, body: list[str], constants: list) -> str:
+def _nested_code(program, body: list[str]) -> str:
     """The postfix ``program`` as one parenthesized expression, variables
-    read as ``v[i]`` and constants by value as ``c[k]`` (``constants[k]``). A
+    read as ``v[i]`` and constants, Python floats, as their literals. A
     subtree nesting ``_SPILL_HEIGHT`` parentheses becomes a statement
     ``tK = ...`` of ``body``, after the pending operands that ran before it."""
     done: list[tuple[str, int]] = []  # code and nesting height of each finished operand
     for kind, arg in program:
-        if kind is Variable:
-            done.append((f"v[{arg}]", 0))
-            continue
-        if kind is Constant:
-            constants.append(arg)
-            done.append((f"c[{len(constants) - 1}]", 0))
+        if kind is Constant or kind is Variable:
+            done.append((f"({arg!r})" if kind is Constant else f"v[{arg}]", 0))
             continue
         operand, height = done.pop()
         if kind is Neg or kind is IntPow:
@@ -385,18 +384,17 @@ def _compile_drift(name: str, programs) -> Callable:
     built without recursion, so any drift compiles. Operators run in the
     order of :func:`_run` over the programs, component by component, so the
     results and the errors raised agree bit for bit; the caller names the
-    failing component by running the programs again."""
-    constants: list = []
+    failing component by running the programs again. ``f`` reads no global."""
     lines = ["def f(v):"]
     for i, program in enumerate(programs):
         # each component numbers its temporaries from t0 again, so the next
         # one rebinds and frees them, as returning from a function would
         body: list[str] = []
-        result = _nested_code(program, body, constants)
+        result = _nested_code(program, body)
         lines.extend(f"    {statement}" for statement in body)
         lines.append(f"    r{i} = {result}")
     lines.append(f"    return [{', '.join(f'r{i}' for i in range(len(programs)))}]")
-    namespace = {"c": tuple(constants)}
+    namespace: dict = {}
     exec(compile("\n".join(lines), f"<drift of {name}>", "exec"), namespace)
     # popped, so that the function and its globals form no reference cycle
     # and are freed with the system instead of by the cycle collector
@@ -412,6 +410,19 @@ def read_only(values) -> np.ndarray:
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _as_float(value) -> float | None:
+    """``value`` as a Python float if it is a real number, not a bool, that
+    ``float`` keeps exactly (numpy scalars too), NaN and inf included; else
+    None, as the model text carries no other. Past the float range is inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        out = float(value)
+    except OverflowError:
+        return math.inf
+    return out if out == value or out != out else None
 
 
 def equal_values(a, b) -> bool:
@@ -474,10 +485,14 @@ class OdeSystem:
     Invariants checked at construction: identifier names, distinct variable
     names other than directives, one drift expression and one initial value
     per variable, finite drift constants and initial values, int exponents of
-    at least 0, a positive finite horizon, and a finite observable matrix with
+    at least 0, no drift operator over constants only (the parser folds them),
+    a positive finite horizon, and a finite observable matrix with
     1 <= p < m whose rows pass :func:`orthonormalize_rows`, the rank test of
     every lumping. So rows the sweep would reject, such as a and a + 1e-10 b,
     fail here, while tiny independent rows, such as 1e-17 b beside a, are kept.
+    Constants and the horizon are real numbers, not bools, that ``float``
+    keeps exactly (numpy scalars too); the programs and ``time_horizon`` hold
+    them as Python floats, and the ``drift`` trees keep the caller's.
 
     Construction sets ``dim``, the state dimension, and keeps each drift
     tree's postfix program, and the first one-point :func:`evaluate_drift`
@@ -508,18 +523,29 @@ class OdeSystem:
         object.__setattr__(self, "dim", m)
         object.__setattr__(self, "_programs", tuple(map(_postfix, self.drift)))
         for var, program in zip(self.var_names, self._programs):
-            for kind, arg in program:
-                if kind is Constant and not math.isfinite(arg):
-                    raise ModelValidationError(f"drift of {var} holds a constant that is not finite")
-                if kind is IntPow and not (type(arg) is int and arg >= 0):
+            for j, (kind, arg) in enumerate(program):
+                if kind is Constant:
+                    value = arg if type(arg) is float else _as_float(arg)  # parsed ones are floats
+                    if value is None:
+                        raise ModelValidationError(f"drift of {var} holds an invalid constant {arg!r}")
+                    if not math.isfinite(value):
+                        raise ModelValidationError(f"drift of {var} holds a constant that is not finite")
+                    program[j] = (kind, value)
+                elif kind is IntPow and not (type(arg) is int and arg >= 0):
                     raise ModelValidationError(f"drift of {var} holds an invalid exponent {arg!r}")
+                elif kind is not Variable and program[j - 1][0] is Constant and (
+                    kind not in _BINARY_OPS or program[j - 2][0] is Constant
+                ):  # an operand ends at j - 1, and a left one at j - 2 if the right is a leaf
+                    raise ModelValidationError(f"drift of {var} holds an operator over constants only")
         object.__setattr__(self, "initial_condition", read_only(self.initial_condition))
         if self.initial_condition.shape != (m,):
             raise ModelValidationError("initial condition has wrong dimension")
         if not np.isfinite(self.initial_condition).all():
             raise ModelValidationError("initial condition holds a value that is not finite")
-        if not (0 < self.time_horizon < math.inf):
+        horizon = _as_float(self.time_horizon)
+        if horizon is None or not (0 < horizon < math.inf):
             raise ModelValidationError("time horizon must be positive and finite")
+        object.__setattr__(self, "time_horizon", horizon)
         M = np.atleast_2d(read_only(self.observables))
         p = M.shape[0]
         if M.shape[1] != m:

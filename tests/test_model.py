@@ -7,6 +7,7 @@ import operator
 import pickle
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -485,6 +486,19 @@ class TestParsing:
         with pytest.raises(ModelValidationError, match="horizon"):
             dataclasses.replace(rational3, time_horizon=horizon)
 
+    @pytest.mark.parametrize("horizon", [np.float64(1.5), 2], ids=["numpy_float", "int"])
+    def test_horizon_held_as_a_float(self, rational3, horizon):
+        # to_text writes the horizon by repr, and "np.float64(1.5)" does not parse
+        system = dataclasses.replace(rational3, time_horizon=horizon)
+        assert type(system.time_horizon) is float and system.time_horizon == horizon
+        assert system.to_text().endswith(f"\nhorizon {float(horizon)!r}\n")
+        assert lk.parse_model(system.to_text()) == system
+
+    @pytest.mark.parametrize("horizon", [True, "1.5", None], ids=["bool", "str", "none"])
+    def test_horizon_the_text_cannot_carry_rejected(self, rational3, horizon):
+        with pytest.raises(ModelValidationError, match="^time horizon must be positive and finite$"):
+            dataclasses.replace(rational3, time_horizon=horizon)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -496,6 +510,23 @@ class TestParsing:
             ("drift", (IntPow(Variable(1), -1),) * 3, "drift of x1 holds an invalid exponent -1"),
             ("drift", (Variable(1), IntPow(Variable(0), 2.5), Variable(0)), "of x2 .* 2.5"),
             ("drift", (Variable(1), Variable(2), IntPow(Variable(0), True)), "of x3 .* True"),
+            # operators the parser folds: to_text would write text it rejects
+            # ("1.0 / 0.0 + x2", "1e+200 * 1e+200") or parses to another tree ("-2.0 + x2")
+            (
+                "drift",
+                (Add(Div(Constant(1.0), Constant(0.0)), Variable(1)), Variable(0), Variable(0)),
+                "drift of x1 holds an operator over constants only",
+            ),
+            (
+                "drift",
+                (Variable(1), Mul(Constant(1e200), Constant(1e200)), Variable(0)),
+                "drift of x2 holds an operator over constants only",
+            ),
+            (
+                "drift",
+                (Variable(1), Variable(2), Add(Neg(Constant(2.0)), Variable(1))),
+                "drift of x3 holds an operator over constants only",
+            ),
         ],
         ids=[
             "drift_count",
@@ -505,6 +536,9 @@ class TestParsing:
             "negative_exponent",
             "float_exponent",
             "bool_exponent",
+            "constant_division",
+            "constant_overflow",
+            "constant_negation",
         ],
     )
     def test_system_invariants(self, rational3, field, value, message):
@@ -540,7 +574,9 @@ class TestParsing:
         with pytest.raises(ModelValidationError, match=re.escape(message)):
             dataclasses.replace(rational3, **{field: value})
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int_past_float_range")]
+    )
     def test_non_finite_drift_constant_rejected(self, value):
         # the parser rejects such constants, but a tree built in code may hold
         # one, and to_text would write it as "inf", which does not parse back
@@ -548,6 +584,38 @@ class TestParsing:
         drift = (Mul(Constant(value), Variable(1)), system.drift[1])
         with pytest.raises(ModelValidationError, match="drift of a holds a constant that is not finite"):
             dataclasses.replace(system, drift=drift)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, "2", Fraction(1, 3), None, 1 + 0j, 2**53 + 1],
+        ids=["bool", "str", "fraction", "none", "complex", "int_float_rounds"],
+    )
+    def test_constants_the_text_cannot_carry_rejected(self, value):
+        # the text carries real numbers that float() keeps exactly, and
+        # to_text would write True, for one, as text that does not parse
+        system = lk.parse_model(VALID)
+        drift = (system.drift[0], Add(Variable(0), Constant(value)))
+        message = f"drift of b holds an invalid constant {value!r}"
+        with pytest.raises(ModelValidationError, match=re.escape(message)):
+            dataclasses.replace(system, drift=drift)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(-1.5), np.float32(0.1), np.int64(3), 2, -0.0],
+        ids=["float64", "float32", "int64", "int", "negative_zero"],
+    )
+    def test_numbers_held_as_python_floats(self, value):
+        # the programs hold what every evaluator computes with; the tree keeps the caller's
+        system = lk.parse_model(VALID)
+        system = dataclasses.replace(system, drift=(Mul(Constant(value), Variable(1)), system.drift[1]))
+        assert system.drift[0].left.value is value
+        kind, held = system._programs[0][0]
+        assert (kind, type(held)) == (Constant, float)
+        assert np.float64(held).tobytes() == np.float64(value).tobytes()
+        parsed = lk.parse_model(system.to_text())
+        assert parsed == system
+        x = np.array([0.5, -3.0])
+        assert lk.evaluate_drift(system, x).tobytes() == lk.evaluate_drift(parsed, x).tobytes()
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_initial_condition_rejected(self, rational3, value):
@@ -1081,6 +1149,33 @@ class TestCompiledDrift:
         assert lk.evaluate_drift(system, np.array([0.5, -2.0]))[0] == 3.0
 
     @pytest.mark.parametrize(
+        "drift, cause",
+        [
+            (Div(Variable(1), Constant(np.float64(0.0))), "zero denominator"),
+            (IntPow(Mul(Constant(np.float64(1e200)), Variable(1)), 2), "overflow"),
+        ],
+        ids=["zero_denominator", "overflow"],
+    )
+    def test_every_path_agrees_on_numpy_scalars(self, drift, cause):
+        # on numpy scalars the tree walk follows numpy's rules (inf, with a
+        # RuntimeWarning); the programs hold Python floats, so every path raises
+        system = lk.parse_model(VALID)
+        system = dataclasses.replace(system, drift=(drift, system.drift[1]))
+        x = np.array([1.0, 2.0])
+        for evaluate in (lk.evaluate_drift, lk.evaluate_drift_dual):
+            for points in (x, x[None]):
+                with pytest.raises(EvaluationError) as exc_info:
+                    evaluate(system, points)
+                assert str(exc_info.value) == f"{cause} evaluating da/dt at x=[1.0, 2.0]"
+                assert exc_info.value.component == 0
+                assert exc_info.value.point.tobytes() == x.tobytes()
+
+    def test_compiled_drift_reads_no_global(self, rational3, rational3_perturbed, poly4):
+        # constants are literals: no table to look up
+        for system in (rational3, rational3_perturbed, poly4):
+            assert system._drift_function.__code__.co_names == ()
+
+    @pytest.mark.parametrize(
         "body, x, cause, error",
         [
             ("eq a = b\neq b = a/(b - 1)", [2.0, 1.0], "zero denominator", ZeroDivisionError),
@@ -1308,33 +1403,46 @@ def test_model_prints_and_writes_back_or_names_its_line(make, position):
 VARIABLE_NAMES = ["a", "b", "c", "d", "e", "_v", "xα", "x1", "a", "eq", "", "1x", "a b"]
 
 
+# numbers and constant subtrees for the constant of eq b = a - c / 2.0
+CONSTANTS = [2.0, np.float64(2.0), np.float32(0.5), 2, True, "2"]
+CONSTANTS += [Div(Constant(1.0), Constant(0.0)), Neg(Constant(2.0))]
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(
     st.sampled_from(["m", "model", "m_2", "xα", "_", "my model", "", "1m"]),
     st.permutations(VARIABLE_NAMES),
     st.sampled_from([-1, 0, 1, 2, 2.5, True]),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    st.sampled_from(CONSTANTS),
+    st.sampled_from([1.5, np.float64(1.5), 2, True]),
 )
-def test_accepted_model_writes_back_as_text(name, names, k, x0):
+def test_accepted_model_writes_back_as_text(name, names, k, x0, constant, horizon):
     """A model the type accepts, built in code, writes text that parses back
-    to it: its names, exponents and initial values all fit the grammar."""
+    to it: its names, exponents, constants, initial values and horizon all
+    fit the grammar. Its one-point, block and dual evaluations agree."""
     var_names = names[:3]
     a, b, c = map(Variable, range(3))
+    constant = constant if isinstance(constant, Expression) else Constant(constant)
     drift = (
         Add(Mul(IntPow(b, k), a), c),  # eq a = b ^ k * a + c
-        Sub(a, Div(c, Constant(2.0))),
+        Sub(a, Div(c, constant)),
         Neg(Mul(IntPow(a, 2), b)),
     )
     try:
-        system = lk.OdeSystem(name, var_names, drift, x0, 1.5, [[1.0, 0.0, 0.0], [0.0, -0.5, 1.0]])
+        system = lk.OdeSystem(name, var_names, drift, x0, horizon, [[1.0, 0.0, 0.0], [0.0, -0.5, 1.0]])
     except ModelValidationError:
         return
     parsed = lk.parse_model(system.to_text())
     assert (parsed.name, parsed.var_names) == (system.name, system.var_names)
     assert parsed.initial_condition.tobytes() == system.initial_condition.tobytes()
     assert parsed.observables.tobytes() == system.observables.tobytes()
+    assert parsed.time_horizon == system.time_horizon
     x = np.array([0.75, 1.25, -0.5])
-    assert lk.evaluate_drift(parsed, x).tobytes() == lk.evaluate_drift(system, x).tobytes()
+    f = lk.evaluate_drift(system, x).tobytes()
+    assert lk.evaluate_drift(parsed, x).tobytes() == f
+    assert lk.evaluate_drift(system, x[None])[0].tobytes() == f
+    assert lk.evaluate_drift_dual(system, x)[0].tobytes() == f
     assert parsed == system
 
 
